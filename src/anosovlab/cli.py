@@ -55,6 +55,15 @@ def _load(manifest):
     return cfg
 
 
+def _option(manifest, name, cfg, key, default=None):
+    """A command-line option, else the config key, else the default.
+
+    Only an absent option (None) falls through, so an explicit zero is kept.
+    """
+    value = manifest.options.get(name)
+    return cfg.get(key, default) if value is None else value
+
+
 def _model(cfg):
     from .config import MODEL_KEYS, subset
     from .model import build_model
@@ -84,9 +93,7 @@ def _run_band_edges(manifest, cfg):
     from .tableio import write_band_edges, write_metadata
 
     model = _model(cfg)
-    k_top = manifest.options.get("k")
-    if k_top is None:
-        k_top = cfg.get("k_band", 0)
+    k_top = _option(manifest, "k", cfg, "k_band", 0)
     edges = band_edges_upto(model, _potential(cfg), k_top,
                             _plan(cfg, manifest.seed))
     write_band_edges(manifest.out, edges)
@@ -121,12 +128,8 @@ def _run_resonances(manifest, cfg):
             jitter=cfg.get("jitter", 0.0),
             seed=manifest.seed,
         )
-    k_max = manifest.options.get("kmax")
-    if k_max is None:
-        k_max = cfg.get("k_max", 3)
-    n_max = manifest.options.get("nmax")
-    if n_max is None:
-        n_max = cfg.get("n_max", 0)
+    k_max = _option(manifest, "kmax", cfg, "k_max", 3)
+    n_max = _option(manifest, "nmax", cfg, "n_max", 0)
     rl = resonances_from_laplacian(spectrum, k_max, n_max)
     write_resonances(manifest.out, rl)
     write_metadata(manifest.out, manifest.seed, manifest.config,
@@ -182,9 +185,9 @@ def _run_invert(manifest, cfg):
     series = read_series(manifest.options["series"])
     modes = harmonic_inversion(
         series,
-        max_modes=manifest.options.get("max_modes") or cfg.get("max_modes", 12),
-        sv_threshold=manifest.options.get("sv_threshold")
-        or cfg.get("sv_threshold", 1e-3),
+        max_modes=_option(manifest, "max_modes", cfg, "max_modes", 12),
+        sv_threshold=_option(manifest, "sv_threshold", cfg, "sv_threshold",
+                             1e-3),
     )
     write_modes(manifest.out, modes)
     write_metadata(manifest.out, manifest.seed, manifest.config,
@@ -201,9 +204,9 @@ def _run_weyl(manifest, cfg):
     report = weyl_count(
         rl,
         k=manifest.options.get("k", 0),
-        b=manifest.options.get("b") or cfg.get("weyl_b", 10.0),
+        b=_option(manifest, "b", cfg, "weyl_b", 10.0),
         eps_exponent=cfg.get("eps_exponent", 0.0),
-        b_max=manifest.options.get("bmax") or cfg.get("weyl_b_max"),
+        b_max=_option(manifest, "bmax", cfg, "weyl_b_max"),
     )
     write_csv(manifest.out, ("b", "count"),
               zip(report.ladder, report.window_counts))
@@ -225,9 +228,9 @@ def _run_bands(manifest, cfg):
     # default enlargement matches the accuracy contract of fitted edges
     report = band_membership(
         rl, edges,
-        eps=manifest.options.get("eps") or cfg.get("band_eps", 1.0e-3),
-        im_cutoff=manifest.options.get("im_cutoff")
-        or cfg.get("im_cutoff", DEFAULT_IM_CUTOFF),
+        eps=_option(manifest, "eps", cfg, "band_eps", 1.0e-3),
+        im_cutoff=_option(manifest, "im_cutoff", cfg, "im_cutoff",
+                          DEFAULT_IM_CUTOFF),
     )
     labels = sorted(report.counts, key=str)
     write_csv(manifest.out, ("label", "count"),
@@ -245,15 +248,12 @@ def _run_concentrate(manifest, cfg):
     from .tableio import read_resonances, write_csv, write_metadata
 
     rl = read_resonances(manifest.options["resonances"])
-    d_mean = manifest.options.get("dmean")
-    if d_mean is None:
-        d_mean = cfg.get("d_mean")
+    d_mean = _option(manifest, "dmean", cfg, "d_mean")
     if d_mean is None:
         raise _usage("concentrate needs --dmean or a d_mean config key")
     report = concentration(
         rl, float(d_mean),
-        b_max=manifest.options.get("bmax")
-        or cfg.get("concentration_b_max", 40.0),
+        b_max=_option(manifest, "bmax", cfg, "concentration_b_max", 40.0),
     )
     write_csv(manifest.out, ("b", "statistic"),
               zip(report.ladder, report.statistic))
@@ -309,7 +309,7 @@ def _run_orbit_dump(manifest, cfg):
 
     model = _model(cfg)
     damp = damping_observable(model, _potential(cfg))
-    span = manifest.options.get("t") or cfg.get("horizon", 50.0)
+    span = _option(manifest, "t", cfg, "horizon", 50.0)
     span = min(span, model.horizon)
     dt = cfg.get("dt", 0.1)
     n = int(round(span / dt))

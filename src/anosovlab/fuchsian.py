@@ -301,30 +301,39 @@ class DirichletDomain:
         return rounds
 
 
+def _word_levels(generators, max_len):
+    """Reduced words of lengths 1..max_len, one level at a time.
+
+    Yields (mats, parent, last) per level: the (k, 2, 2) products, the index
+    of each word's prefix in the previous level, and its last letter (an
+    index into [g0..g3, g0^-1..g3^-1]).  Words come parent-major with the
+    appended letter minor, and every product is one matmul of its prefix by
+    a generator.
+    """
+    gens = np.asarray(generators, dtype=float)
+    gen8 = np.concatenate([gens, np.linalg.inv(gens)])
+    mats, last = gen8, np.arange(8)
+    yield mats, np.zeros(8, dtype=int), last
+    for _ in range(max_len - 1):
+        # skip the letter that would cancel the last one (no backtracking)
+        keep = np.arange(8)[None, :] != (last[:, None] + 4) % 8
+        parent, last = np.nonzero(keep)
+        mats = np.matmul(mats[:, None], gen8)[keep]
+        yield mats, parent, last
+
+
 def group_words(generators, max_len, include_identity=True):
     """All reduced words (no immediate backtracking) up to the given length.
 
     Yields (matrix, word) where word is a tuple of indices into the list
     [g0..g3, g0^-1..g3^-1].
     """
-    gens = np.asarray(generators, dtype=float)
-    gen8 = np.concatenate([gens, np.linalg.inv(gens)])
     if include_identity:
         yield np.eye(2), ()
-    frontier = [(gen8[j], (j,)) for j in range(8)]
-    for m, wd in frontier:
-        yield m, wd
-    for _ in range(max_len - 1):
-        new = []
-        for m, wd in frontier:
-            last = wd[-1]
-            for j in range(8):
-                if j == (last + 4) % 8:
-                    continue
-                new.append((m @ gen8[j], wd + (j,)))
-        for m, wd in new:
-            yield m, wd
-        frontier = new
+    words = [()]
+    for mats, parent, last in _word_levels(generators, max_len):
+        words = [words[p] + (j,) for p, j in zip(parent.tolist(), last.tolist())]
+        yield from zip(mats, words)
 
 
 def closed_geodesic_elements(generators, max_len, limit=None):
@@ -335,13 +344,18 @@ def closed_geodesic_elements(generators, max_len, limit=None):
     Returns a list of (matrix, length) with length = 2 arccosh(|tr| / 2).
     """
     seen = {}
-    for m, wd in group_words(generators, max_len, include_identity=False):
-        tr = abs(float(np.trace(m)))
-        if tr <= 2.0 + 1e-9:
-            continue  # not hyperbolic (identity or elliptic); none expected
-        key = round(tr, 9)
-        if key not in seen:
-            seen[key] = (m, 2.0 * float(np.arccosh(0.5 * tr)))
+    for mats, _, _ in _word_levels(generators, max_len):
+        # distinct exact traces in order of first appearance, so each key
+        # keeps the first word that produced it
+        traces, first = np.unique(np.abs(mats[:, 0, 0] + mats[:, 1, 1]),
+                                  return_index=True)
+        order = np.argsort(first)
+        for tr, i in zip(traces[order].tolist(), first[order].tolist()):
+            if tr <= 2.0 + 1e-9:
+                continue  # not hyperbolic (identity or elliptic); none expected
+            key = round(tr, 9)
+            if key not in seen:
+                seen[key] = (mats[i].copy(), 2.0 * float(np.arccosh(0.5 * tr)))
     out = sorted(seen.values(), key=lambda t: t[1])
     if limit is not None:
         out = out[:limit]

@@ -175,14 +175,18 @@ class FlowModel:
             return np.zeros(np.shape(z))
         return self.epsilon * self.shape.value(z)
 
-    def psi_pack(self, z):
-        """(psi, dpsi/dx, dpsi/dy, hyperbolic Laplacian of psi)."""
+    def psi_pack(self, z, laplacian=True):
+        """(psi, dpsi/dx, dpsi/dy, hyperbolic Laplacian of psi).
+
+        With ``laplacian=False`` the Laplacian is skipped and returned as None.
+        """
         if self.is_exact:
             zero = np.zeros(np.shape(z))
-            return zero, zero.copy(), zero.copy(), zero.copy()
-        val, gx, gy, lap = self.shape.pack(z)
+            lap = zero.copy() if laplacian else None
+            return zero, zero.copy(), zero.copy(), lap
+        val, gx, gy, lap = self.shape.pack(z, laplacian)
         e = self.epsilon
-        return e * val, e * gx, e * gy, e * lap
+        return e * val, e * gx, e * gy, (e * lap if laplacian else None)
 
     def curvature(self, z):
         """Gauss curvature of e^{2 psi} g_hyp at half-plane points."""

@@ -182,25 +182,17 @@ class PerturbationShape:
     def n_centers(self):
         return len(self.centers)
 
-    def _dist_parts(self, z, centers=None):
-        z = np.asarray(z, dtype=complex)[..., None]
-        c = self.centers if centers is None else centers
-        u = cosh_dist_hp(z, c)
-        d = np.arccosh(np.maximum(1.0, u))
-        sh = np.sqrt(np.maximum(u * u - 1.0, 0.0))
-        # r = d / sinh d, extended through d = 0 by its series
-        small = sh < 1e-6
-        with np.errstate(invalid="ignore", divide="ignore"):
-            r = np.where(small, 1.0 - d * d / 6.0, d / np.where(small, 1.0, sh))
-        return z, u, d, r
+    def _dist(self, z, centers):
+        u = cosh_dist_hp(np.asarray(z, dtype=complex)[..., None], centers)
+        return np.arccosh(np.maximum(1.0, u))
 
     def value(self, z):
-        _, _, d, _ = self._dist_parts(z)
+        d = self._dist(z, self.centers)
         return np.exp(-0.5 * (d / self.sigma) ** 2).sum(axis=-1)
 
     def value_full(self, z):
         """The whole truncated orbit sum, no pruning; valid anywhere in H."""
-        _, _, d, _ = self._dist_parts(z, centers=self.all_centers)
+        d = self._dist(z, self.all_centers)
         return np.exp(-0.5 * (d / self.sigma) ** 2).sum(axis=-1)
 
     def pruning_gap(self, z):
@@ -209,21 +201,41 @@ class PerturbationShape:
             return 0.0
         return float(np.max(np.abs(self.value_full(z) - self.value(z))))
 
-    def pack(self, z):
-        """(value, d/dx, d/dy, hyperbolic Laplacian) at half-plane points."""
-        zc, u, d, r = self._dist_parts(z)
+    def pack(self, z, laplacian=True):
+        """(value, d/dx, d/dy, hyperbolic Laplacian) at half-plane points.
+
+        With ``laplacian=False`` the last entry is None and its terms are
+        never formed; the first three entries are the same bits either way.
+        """
+        z = np.asarray(z, dtype=complex)[..., None]
+        c = self.centers
+        x, y = z.real, z.imag
+        cx, cy = c.real, c.imag
+        # cosh d(z, c), written out to share y * cy with its partials below
+        ycy = y * cy
+        u = 1.0 + np.abs(z - c) ** 2 / (2.0 * ycy)
+        d = np.arccosh(np.maximum(1.0, u))
+        dd = d * d
+        sh = np.sqrt(np.maximum(u * u - 1.0, 0.0))
+        # r = d / sinh d, extended through d = 0 by its series
+        small = sh < 1e-6
+        if small.any():
+            r = np.where(small, 1.0 - dd / 6.0, d / np.where(small, 1.0, sh))
+        else:
+            r = d / sh
         s2 = self.sigma * self.sigma
-        g = np.exp(-0.5 * d * d / s2)
-        x, y = zc.real, zc.imag
-        cx, cy = self.centers.real, self.centers.imag
+        # same bits as -0.5 * d * d: scaling by a power of two is exact
+        g = np.exp(-0.5 * dd / s2)
         # partials of cosh d(z, c) in x and y
-        ux = (x - cx) / (y * cy)
-        uy = (y - cy) / (y * cy) - (u - 1.0) / y
+        ux = (x - cx) / ycy
+        uy = (y - cy) / ycy - (u - 1.0) / y
         coef = -(g * r) / s2
         val = g.sum(axis=-1)
         gx = (coef * ux).sum(axis=-1)
         gy = (coef * uy).sum(axis=-1)
-        lap = (g * (d * d / (s2 * s2) - 1.0 / s2 - (u * r) / s2)).sum(axis=-1)
+        lap = None
+        if laplacian:
+            lap = (g * (dd / (s2 * s2) - 1.0 / s2 - (u * r) / s2)).sum(axis=-1)
         return val, gx, gy, lap
 
     def invariance_defect(self, generators, n=400, seed=20260814):

@@ -150,6 +150,45 @@ class TestArtifacts:
         assert "volume_ks" in payload
 
 
+class TestExplicitZeros:
+    """An explicit 0 on the command line is used, never swapped for a default."""
+
+    def test_bands_eps_zero_is_recorded(self, tmp_path):
+        from anosovlab.birkhoff import BandEdges
+        from anosovlab.tableio import write_band_edges
+
+        res = tmp_path / "r.json"
+        cfg = _cfg(tmp_path, "mu_max = 60\n")
+        assert main(["resonances", "--config", cfg, "--kmax", "0",
+                     "--quiet", "--out", str(res)]) == 0
+        edges = tmp_path / "edges.csv"
+        write_band_edges(edges, [BandEdges(
+            k=0, gamma_minus=-0.5, gamma_plus=-0.5, horizon=10.0,
+            n_orbits=1, extrapolation_error=0.0)])
+        out = tmp_path / "bands.csv"
+        assert main(["bands", "--resonances", str(res), "--edges", str(edges),
+                     "--eps", "0", "--quiet", "--out", str(out)]) == 0
+        assert read_json(sidecar_path(out))["eps"] == 0.0
+
+    def test_invert_max_modes_zero_raises(self, tmp_path, capsys):
+        from anosovlab.correlation import CorrelationSeries
+        from anosovlab.tableio import write_series
+
+        t = 0.1 * np.arange(200)
+        series = tmp_path / "series.csv"
+        # long enough that the default of 12 modes would run
+        write_series(series, CorrelationSeries(
+            dt=0.1, values=np.exp(-0.5 * t) * np.cos(t),
+            stderr=np.full(len(t), 1e-3)))
+        out = tmp_path / "modes.json"
+        assert main(["invert", "--series", str(series), "--max-modes", "0",
+                     "--quiet", "--out", str(out)]) == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "InversionError"
+        assert "max_modes" in payload["message"]
+        assert not out.exists()
+
+
 class TestFigurePipeline:
     def test_smoke(self, tmp_path):
         cfg = _cfg(tmp_path, FAST_EDGES + """

@@ -1,4 +1,7 @@
 """Both flow backends, the Riccati rate, and the hyperbolicity certificates."""
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from anosovlab.errors import (
     RiccatiBlowupError,
 )
 from anosovlab.flow import (
+    AnosovReport,
     ExactEnsemble,
     MidpointEnsemble,
     contact_check,
@@ -278,3 +282,72 @@ def test_liouville_ks(exact_model, perturbed_model):
     assert max(out.values()) < 0.04
     with pytest.raises(ConfigError):
         liouville_ks(perturbed_model)
+
+
+def test_verify_anosov_matches_per_direction_runs(perturbed_model):
+    # Both directions share one ensemble; each half must evolve exactly as a
+    # separate ensemble of the same seeds would.  A short burn-in keeps it cheap.
+    model = dataclasses.replace(perturbed_model, riccati_burn=2.0)
+    n, t_check, seed = 6, 2.0, 5
+    report = verify_anosov(model, n_samples=n, t_check=t_check, seed=seed,
+                           word_length=4)
+    z, th = dual_seeds(model, n, np.random.default_rng(seed), word_length=4)
+    rates, extremes = [], []
+    for direction in (0.0, np.pi):
+        ens = MidpointEnsemble(model, z, theta_h=np.mod(th + direction, 2.0 * np.pi))
+        ens.burn_in()
+        total = ens.advance(t_check, observables=[ObservableSpec(c_u_half=2.0)])[0]
+        rates.append(float(np.min(total) / t_check))
+        extremes.append((float(ens.u.min()), float(ens.u.max())))
+    alpha_err, nondeg = contact_check(model)
+    k_min, k_max = model.curvature_range
+    expected = AnosovReport(
+        lambda_forward=rates[0],
+        lambda_backward=rates[1],
+        lambda_min=min(rates),
+        riccati_low=min(e[0] for e in extremes),
+        riccati_high=max(e[1] for e in extremes),
+        riccati_bounds=(float(np.sqrt(-k_max)), float(np.sqrt(-k_min))),
+        contact_alpha_error=alpha_err,
+        contact_nondegeneracy=nondeg,
+        n_samples=len(z),
+        t_check=t_check,
+    )
+    for field in dataclasses.fields(AnosovReport):
+        assert getattr(report, field.name) == getattr(expected, field.name), field.name
+
+
+def test_perturbed_steps_digest(perturbed_model):
+    # Pins the bits of 200 forward and 200 backward perturbed midpoint steps.
+    # The digest was recorded before the force kernel skipped the Laplacian on
+    # all but the last fixed-point pass (x86-64 with AVX-512, numpy 2.4);
+    # another libm or SIMD path may round transcendental functions differently.
+    rng = np.random.default_rng(72)
+    z, th = sample_liouville(perturbed_model, 24, rng)
+    digest = hashlib.sha256()
+    for h in (perturbed_model.step, -perturbed_model.step):
+        ens = MidpointEnsemble(perturbed_model, z, theta_h=th, h=h)
+        for _ in range(200):
+            ens.step()
+        for a in (ens.z, ens.xi, ens.u):
+            digest.update(a.tobytes())
+    assert digest.hexdigest() == (
+        "77ee2b572cb8fe5150ad50f501cfa62bee8c7cf7baf4aa05579ff5d20bdc5b2b")
+
+
+def test_pack_without_laplacian_is_bit_identical(perturbed_model):
+    shape = perturbed_model.shape
+    rng = np.random.default_rng(73)
+    z, _ = sample_liouville(perturbed_model, 50, rng)
+    # on a centre and next to one, where d / sinh d takes its series branch
+    c = shape.centers[0]
+    z = np.concatenate([z, [c, c + 1e-8, c + 1e-3j]])
+    full = shape.pack(z)
+    val, gx, gy, lap = shape.pack(z, laplacian=False)
+    assert lap is None
+    for a, b in zip(full[:3], (val, gx, gy)):
+        np.testing.assert_array_equal(a, b)
+    psi = perturbed_model.psi_pack(z, laplacian=False)
+    assert psi[3] is None
+    for a, b in zip(perturbed_model.psi_pack(z)[:3], psi[:3]):
+        np.testing.assert_array_equal(a, b)

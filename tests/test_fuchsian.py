@@ -167,6 +167,37 @@ def test_group_words_counts():
     assert sum(1 for _ in group_words(g, 1, include_identity=False)) == 8
 
 
+def _loop_words(g, max_len):
+    """Word-by-word reference enumeration: prefix @ letter, no backtracking."""
+    gen8 = np.concatenate([g, np.linalg.inv(g)])
+    level = [(gen8[j], (j,)) for j in range(8)]
+    out = list(level)
+    for _ in range(max_len - 1):
+        level = [(m @ gen8[j], wd + (j,)) for m, wd in level
+                 for j in range(8) if j != (wd[-1] + 4) % 8]
+        out += level
+    return out
+
+
+def test_batched_words_match_loop_reference():
+    g = bolza_generators()
+    ref = _loop_words(g, 5)
+    got = list(group_words(g, 5, include_identity=False))
+    assert [wd for _, wd in got] == [wd for _, wd in ref]
+    for (m, _), (r, _) in zip(got, ref):
+        np.testing.assert_array_equal(m, r)
+    # first word per rounded |trace|, sorted by length
+    seen = {}
+    for m, _ in ref:
+        tr = abs(float(np.trace(m)))
+        seen.setdefault(round(tr, 9), (m, 2.0 * float(np.arccosh(0.5 * tr))))
+    expect = sorted(seen.values(), key=lambda t: t[1])
+    els = closed_geodesic_elements(g, 5)
+    assert [ell for _, ell in els] == [ell for _, ell in expect]
+    for (m, _), (r, _) in zip(els, expect):
+        np.testing.assert_array_equal(m, r)
+
+
 def test_closed_geodesics_systole_and_axes():
     g = bolza_generators()
     els = closed_geodesic_elements(g, 4)
