@@ -16,11 +16,6 @@ import sys
 from dataclasses import dataclass
 from typing import Optional
 
-PIPELINES = (
-    "band-edges", "resonances", "correlate", "invert", "weyl", "bands",
-    "concentrate", "verify-anosov", "reproduce-fig2", "orbit-dump",
-)
-
 
 @dataclass(frozen=True)
 class ExperimentManifest:
@@ -111,7 +106,7 @@ def _run_band_edges(manifest, cfg):
     for e in edges:
         _say(manifest, "k=%d  [%.6f, %.6f]  err %.2e" % (
             e.k, e.gamma_minus, e.gamma_plus, e.extrapolation_error))
-    return [manifest.out]
+    return edges
 
 
 def _run_resonances(manifest, cfg):
@@ -136,7 +131,7 @@ def _run_resonances(manifest, cfg):
                    extra={"area": spectrum.area, "source": spectrum.source,
                           "n_entries": len(rl)})
     _say(manifest, "%d resonances for k <= %d" % (len(rl), k_max))
-    return [manifest.out]
+    return rl
 
 
 def _default_u():
@@ -175,7 +170,6 @@ def _run_correlate(manifest, cfg):
                           "volume": series.volume})
     _say(manifest, "series of %d lags, C(0) = %.6g" % (
         len(series), series.values[0]))
-    return [manifest.out]
 
 
 def _run_invert(manifest, cfg):
@@ -193,14 +187,20 @@ def _run_invert(manifest, cfg):
     write_metadata(manifest.out, manifest.seed, manifest.config,
                    extra={"n_modes": len(modes), "residual": modes.residual})
     _say(manifest, "%d modes, residual %.3g" % (len(modes), modes.residual))
-    return [manifest.out]
 
 
-def _run_weyl(manifest, cfg):
+def _resonance_list(manifest, rl):
+    """The catalogue handed over in memory, else the --resonances file."""
+    from .tableio import read_resonances
+
+    return read_resonances(manifest.options["resonances"]) if rl is None else rl
+
+
+def _run_weyl(manifest, cfg, rl=None):
     from .stats import weyl_count
-    from .tableio import read_resonances, write_csv, write_metadata
+    from .tableio import write_csv, write_metadata
 
-    rl = read_resonances(manifest.options["resonances"])
+    rl = _resonance_list(manifest, rl)
     report = weyl_count(
         rl,
         k=manifest.options.get("k", 0),
@@ -215,16 +215,15 @@ def _run_weyl(manifest, cfg):
                           "prefactor": report.prefactor,
                           "fit_omitted": report.fit_omitted})
     _say(manifest, "slope %s over %d rungs" % (report.slope, len(report.ladder)))
-    return [manifest.out]
 
 
-def _run_bands(manifest, cfg):
+def _run_bands(manifest, cfg, rl=None, edges=None):
     from .stats import DEFAULT_IM_CUTOFF, band_membership
-    from .tableio import read_band_edges, read_resonances, write_csv, \
-        write_metadata
+    from .tableio import read_band_edges, write_csv, write_metadata
 
-    rl = read_resonances(manifest.options["resonances"])
-    edges = read_band_edges(manifest.options["edges"])
+    rl = _resonance_list(manifest, rl)
+    if edges is None:
+        edges = read_band_edges(manifest.options["edges"])
     # default enlargement matches the accuracy contract of fitted edges
     report = band_membership(
         rl, edges,
@@ -240,14 +239,13 @@ def _run_bands(manifest, cfg):
                           "im_cutoff": report.im_cutoff, "eps": report.eps})
     _say(manifest, "violations: %d of %d" % (
         report.n_violations, len(report.assignments)))
-    return [manifest.out]
 
 
-def _run_concentrate(manifest, cfg):
+def _run_concentrate(manifest, cfg, rl=None):
     from .stats import concentration
-    from .tableio import read_resonances, write_csv, write_metadata
+    from .tableio import write_csv, write_metadata
 
-    rl = read_resonances(manifest.options["resonances"])
+    rl = _resonance_list(manifest, rl)
     d_mean = _option(manifest, "dmean", cfg, "d_mean")
     if d_mean is None:
         raise _usage("concentrate needs --dmean or a d_mean config key")
@@ -262,7 +260,6 @@ def _run_concentrate(manifest, cfg):
                           "nonincreasing": report.nonincreasing})
     _say(manifest, "final statistic %s (nonincreasing: %s)" % (
         report.final, report.nonincreasing))
-    return [manifest.out]
 
 
 def _run_verify(manifest, cfg):
@@ -297,7 +294,6 @@ def _run_verify(manifest, cfg):
     write_metadata(manifest.out, manifest.seed, manifest.config)
     _say(manifest, "hyperbolicity check passed: %s (lambda %.4f)" % (
         report.passed, report.lambda_min))
-    return [manifest.out]
 
 
 def _run_orbit_dump(manifest, cfg):
@@ -332,13 +328,14 @@ def _run_orbit_dump(manifest, cfg):
     write_orbit_dump(manifest.out, rows_t, rows_z, rows_th, rows_u, rows_d)
     write_metadata(manifest.out, manifest.seed, manifest.config,
                    extra={"span": span, "dt": dt})
-    return [manifest.out]
 
 
 def _run_figure2(manifest, cfg):
-    """verify -> edges (k<=3) -> synthetic catalog -> bands/weyl/concentrate."""
-    import numpy as np
+    """verify -> edges (k<=3) -> synthetic catalog -> bands/weyl/concentrate.
 
+    The catalogue and the edges pass to the last three stages in memory; the
+    files hold the same values, since floats are written to round-trip.
+    """
     from .birkhoff import space_average
     from .model import damping_observable
 
@@ -352,23 +349,17 @@ def _run_figure2(manifest, cfg):
             threads=manifest.threads, quiet=manifest.quiet, options=options,
         )
 
-    artifacts = []
-    artifacts += _run_verify(sub("verify-anosov"), cfg)
-    artifacts += _run_band_edges(sub("band-edges", k=3), cfg)
-    artifacts += _run_resonances(sub("resonances"), cfg)
-    res_path = os.path.join(out_dir, _FIG2_NAMES["resonances"])
-    edges_path = os.path.join(out_dir, _FIG2_NAMES["band-edges"])
-    artifacts += _run_bands(
-        sub("bands", resonances=res_path, edges=edges_path), cfg)
-    artifacts += _run_weyl(sub("weyl", resonances=res_path, k=0), cfg)
+    _run_verify(sub("verify-anosov"), cfg)
+    edges = _run_band_edges(sub("band-edges", k=3), cfg)
+    rl = _run_resonances(sub("resonances"), cfg)
+    _run_bands(sub("bands"), cfg, rl, edges)
+    _run_weyl(sub("weyl", k=0), cfg, rl)
     model = _model(cfg)
     d_mean, _ = space_average(
         model, damping_observable(model, _potential(cfg)),
         cfg.get("n_samples", 20000), seed=manifest.seed,
     )
-    artifacts += _run_concentrate(
-        sub("concentrate", resonances=res_path, dmean=d_mean), cfg)
-    return artifacts
+    _run_concentrate(sub("concentrate", dmean=d_mean), cfg, rl)
 
 
 _FIG2_NAMES = {
@@ -471,11 +462,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run(manifest: ExperimentManifest):
-    """Execute one pipeline; returns the list of artifact paths."""
+def run(manifest: ExperimentManifest) -> None:
+    """Execute one pipeline, writing its artifacts and their sidecars."""
     cfg = _load(manifest)
     with _limit_threads(manifest.threads):
-        return _HANDLERS[manifest.pipeline](manifest, cfg)
+        _HANDLERS[manifest.pipeline](manifest, cfg)
 
 
 def main(argv=None) -> int:

@@ -14,6 +14,7 @@ burn-in and u is read off at the far end.
 """
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -113,16 +114,7 @@ def observable_mean(model: FlowModel, spec: ObservableSpec,
 def mean_zero(model: FlowModel, spec: ObservableSpec, **kwargs) -> ObservableSpec:
     """Shift c_const so the volume average vanishes."""
     m, _ = observable_mean(model, spec, **kwargs)
-    return ObservableSpec(
-        c_const=spec.c_const - m,
-        c_shape=spec.c_shape,
-        c_u_half=spec.c_u_half,
-        c_cos=spec.c_cos,
-        c_sin=spec.c_sin,
-        c_bump=spec.c_bump,
-        bump_center=spec.bump_center,
-        bump_sigma=spec.bump_sigma,
-    )
+    return dataclasses.replace(spec, c_const=spec.c_const - m)
 
 
 def _chunk_size(n_lags: int) -> int:

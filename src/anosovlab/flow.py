@@ -48,7 +48,8 @@ def _psi_sup(model: FlowModel) -> float:
 
     Grid maximum plus a margin generous against the grid spacing (the shape
     varies on the scale of its sigma), capped by the trivial bound that every
-    bump is at most 1.  An over-estimate only costs acceptance rate.
+    bump is at most 1.  An over-estimate only costs acceptance rate; an
+    under-estimate makes ``sample_octagon_positions`` raise.
     """
     if model.is_exact:
         return 1.0
@@ -72,6 +73,17 @@ def sample_liouville(model: FlowModel, n: int, rng) -> Tuple[np.ndarray, np.ndar
         )
     theta = rng.uniform(0.0, 2.0 * np.pi, size=n)
     return z, theta
+
+
+def _step_count(model: FlowModel, T: float, h: float) -> int:
+    """Number of steps h making up T, or the error a run over T would raise."""
+    if abs(T) > model.horizon:
+        raise HorizonError("|T| = %g exceeds the configured horizon %g"
+                           % (abs(T), model.horizon))
+    n_steps = int(round(T / h))
+    if n_steps < 0 or abs(n_steps * h - T) > 1e-9 * max(1.0, abs(T)):
+        raise ConfigError("T must be a nonnegative multiple of the step")
+    return n_steps
 
 
 def evaluate_observable(model: FlowModel, spec: ObservableSpec, z,
@@ -269,12 +281,7 @@ class MidpointEnsemble:
         Returns an array (len(observables), n) of integrals over this
         advance.  ``record(ensemble)`` runs after every step when given.
         """
-        if abs(T) > self.model.horizon:
-            raise HorizonError("|T| = %g exceeds the configured horizon %g"
-                               % (abs(T), self.model.horizon))
-        n_steps = int(round(T / self.h))
-        if n_steps < 0 or abs(n_steps * self.h - T) > 1e-9 * max(1.0, abs(T)):
-            raise ConfigError("T must be a nonnegative multiple of the step")
+        n_steps = _step_count(self.model, T, self.h)
         totals = np.zeros((len(observables), self.n))
         for _ in range(n_steps):
             mz, mth, mu = self.step()
@@ -395,24 +402,33 @@ def verify_anosov(model: FlowModel, n_samples: int = 200, t_check: float = 60.0,
     backward bound repeats this for the reversed flow.  Riccati values after
     burn-in must lie in [sqrt(-K_max), sqrt(-K_min)], the invariant window
     of du/dt = -K - u^2 for pinched negative curvature.
+
+    At constant curvature K = -1 the unstable solution is u = 1 on every
+    orbit, so the rates and Riccati extremes are 1 in closed form; the seeds
+    are still drawn, and t_check still validated, exactly as for a run.
     """
     rng = np.random.default_rng(seed)
     z, th = dual_seeds(model, n_samples, rng, word_length=word_length)
     k_min, k_max = model.curvature_range
     bounds = (float(np.sqrt(-k_max)), float(np.sqrt(-k_min)))
 
-    # Both directions run as one ensemble: every operation of a step acts
-    # point by point, so each half evolves exactly as it would alone.
-    theta = [np.mod(th + direction, 2.0 * np.pi) for direction in (0.0, np.pi)]
-    ens = MidpointEnsemble(model, np.concatenate([z, z]),
-                           theta_h=np.concatenate(theta))
-    ens.burn_in()
-    spec = ObservableSpec(c_u_half=2.0)  # integrand u
-    total = ens.advance(t_check, observables=[spec])[0]
-    halves = (slice(None, len(z)), slice(len(z), None))
-    rates = [float(np.min(total[half]) / t_check) for half in halves]
-    extremes = [(float(ens.u[half].min()), float(ens.u[half].max()))
-                for half in halves]
+    if model.is_exact:
+        _step_count(model, t_check, model.step)
+        rates, extremes = [1.0, 1.0], [(1.0, 1.0)]
+    else:
+        # Both directions run as one ensemble: every operation of a step
+        # acts point by point, so each half evolves exactly as it would alone.
+        theta = [np.mod(th + direction, 2.0 * np.pi)
+                 for direction in (0.0, np.pi)]
+        ens = MidpointEnsemble(model, np.concatenate([z, z]),
+                               theta_h=np.concatenate(theta))
+        ens.burn_in()
+        spec = ObservableSpec(c_u_half=2.0)  # integrand u
+        total = ens.advance(t_check, observables=[spec])[0]
+        halves = (slice(None, len(z)), slice(len(z), None))
+        rates = [float(np.min(total[half]) / t_check) for half in halves]
+        extremes = [(float(ens.u[half].min()), float(ens.u[half].max()))
+                    for half in halves]
 
     alpha_err, nondeg = contact_check(model)
     return AnosovReport(

@@ -65,12 +65,6 @@ def flow_matrix(t):
     return np.array([[e, 0.0], [0.0, 1.0 / e]])
 
 
-def rotation_matrix(alpha):
-    """k(alpha), the stabiliser of i; rotates the tangent at i by -2 alpha."""
-    c, s = np.cos(alpha), np.sin(alpha)
-    return np.array([[c, -s], [s, c]])
-
-
 def cosh_dist_hp(z1, z2):
     """cosh of the hyperbolic distance between half-plane points."""
     return 1.0 + np.abs(z1 - z2) ** 2 / (2.0 * np.imag(z1) * np.imag(z2))

@@ -120,7 +120,9 @@ def sample_octagon_positions(n, rng, weight=None, weight_sup=None):
 
     Draws from the area measure on the circumscribed disk (closed-form radial
     inverse), rejects outside the polygon, then thins by weight/weight_sup
-    when a weight is given.
+    when a weight is given.  A candidate whose weight exceeds weight_sup
+    raises ValueError: thinning by a bound that is not one would bias the
+    sample silently.
     """
     rho_v = np.tanh(0.5 * VERTEX_RADIUS)
     cap = rho_v * rho_v / (1.0 - rho_v * rho_v)
@@ -137,7 +139,11 @@ def sample_octagon_positions(n, rng, weight=None, weight_sup=None):
         z = to_halfplane(rho[keep] * np.exp(1j * phi[keep]))
         if weight is not None:
             u = rng.uniform(0.0, 1.0, size=keep.sum())
-            z = z[u * weight_sup <= weight(z)]
+            w = weight(z)
+            if np.any(w > weight_sup):
+                raise ValueError("weight %.17g exceeds weight_sup %.17g"
+                                 % (np.max(w), weight_sup))
+            z = z[u * weight_sup <= w]
         take = min(len(z), n - have)
         out[have : have + take] = z[:take]
         have += take

@@ -3,8 +3,16 @@
 Session scope keeps the expensive parts (orbit-sum shape construction,
 curvature scans) out of individual test bodies.  Models are immutable, so
 sharing is safe.
+
+BLAS and OpenMP run one thread each, as in CI and the benchmark, unless the
+environment says otherwise; the variables must be set before numpy loads.
 """
-import pytest
+import os
+
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import pytest  # noqa: E402
 
 from anosovlab.model import build_model
 

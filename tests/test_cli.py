@@ -213,3 +213,35 @@ n_samples = 2000
         assert bands_meta["n_violations"] == 0
         conc_meta = read_json(out_dir / "concentration.csv.meta.json")
         assert conc_meta["nonincreasing"] is True
+
+    def test_in_memory_stages_match_standalone_pipelines(self, tmp_path):
+        # reproduce-fig2 hands its catalogue and edges over in memory; the
+        # standalone pipelines read them back from its files
+        cfg = _cfg(tmp_path, FAST_EDGES + """
+mu_max = 60
+weyl_b = 5
+concentration_b_max = 7
+verify_samples = 4
+verify_time = 4
+ks_samples = 500
+n_samples = 500
+""")
+        fig2 = tmp_path / "fig2"
+        assert main(["reproduce-fig2", "--config", cfg, "--seed", "3",
+                     "--quiet", "--out", str(fig2)]) == 0
+        d_mean = read_json(fig2 / "concentration.csv.meta.json")["d_mean"]
+        res, edges = str(fig2 / "resonances.json"), str(fig2 / "band_edges.csv")
+        alone = tmp_path / "alone"
+        alone.mkdir()
+        runs = {
+            "bands.csv": ["bands", "--resonances", res, "--edges", edges],
+            "weyl.csv": ["weyl", "--resonances", res, "--k", "0"],
+            "concentration.csv": ["concentrate", "--resonances", res,
+                                  "--dmean", repr(d_mean)],
+        }
+        for name, argv in runs.items():
+            assert main(argv + ["--config", cfg, "--seed", "3", "--quiet",
+                                "--out", str(alone / name)]) == 0
+            for artifact in (name, name + ".meta.json"):
+                assert (alone / artifact).read_bytes() == \
+                    (fig2 / artifact).read_bytes(), artifact

@@ -268,6 +268,21 @@ def test_verify_anosov_exact():
     assert report.riccati_bounds == (1.0, 1.0)
 
 
+def test_verify_anosov_exact_is_closed_form(exact_model):
+    # u = 1 on every orbit at constant curvature: no ensemble is run, the
+    # seed set is still drawn and counted
+    report = verify_anosov(exact_model, n_samples=7, t_check=5.0, seed=4,
+                           word_length=4)
+    for name in ("lambda_forward", "lambda_backward", "lambda_min",
+                 "riccati_low", "riccati_high"):
+        assert getattr(report, name) == 1.0, name
+    z, _ = dual_seeds(exact_model, 7, np.random.default_rng(4), word_length=4)
+    assert report.n_samples == len(z)
+    assert report.passed
+    with pytest.raises(HorizonError):
+        verify_anosov(exact_model, n_samples=2, t_check=1e6, word_length=2)
+
+
 def test_verify_anosov_perturbed(perturbed_model):
     report = verify_anosov(perturbed_model, n_samples=10, t_check=10.0)
     assert report.passed

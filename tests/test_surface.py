@@ -84,6 +84,14 @@ def test_sample_octagon_positions_weighted():
         sample_octagon_positions(10, rng, weight=weight)
 
 
+def test_sample_octagon_positions_checks_weight_sup():
+    # a bound below the weight's maximum would over-accept; it must raise
+    weight = lambda z: np.where(np.real(z) > 0.0, 1.1, 0.1)
+    with pytest.raises(ValueError, match="exceeds weight_sup"):
+        sample_octagon_positions(100, np.random.default_rng(33), weight=weight,
+                                 weight_sup=1.0)
+
+
 def test_sampling_is_seeded():
     z1 = sample_octagon_positions(100, np.random.default_rng(7))
     z2 = sample_octagon_positions(100, np.random.default_rng(7))

@@ -8,6 +8,7 @@ from anosovlab.birkhoff import BandEdges
 from anosovlab.catalog import (
     Resonance,
     ResonanceList,
+    resonances_from_laplacian,
     synthetic_weyl_spectrum,
 )
 from anosovlab.correlation import CorrelationSeries
@@ -196,6 +197,26 @@ class TestResonanceTable:
         raw = json.loads(path.read_text())
         assert raw["residual"] == pytest.approx(1.2e-8)
         assert raw["dt"] == 0.05
+
+    @pytest.mark.parametrize("entries", [
+        resonances_from_laplacian(synthetic_weyl_spectrum(
+            area=4.0 * np.pi, mu_max=120.0, jitter=0.3, seed=5), 3, 2).entries,
+        (),
+        (Resonance(-0.5, 2.0, 0, "analytic"),
+         Resonance(-0.5, -0.0, 0, "analytic"),
+         Resonance(0.1, 0.0, "exceptional", "analytic"),
+         Resonance(-0.25, 1e-300, "unassigned", "inverted"),
+         Resonance(-3.0, 0.0, 12, "analytic")),
+        (Resonance(float("nan"), 1.0, "unassigned", "inverted"),
+         Resonance(float("inf"), float("-inf"), 1, "analytic")),
+    ], ids=["analytic", "empty", "bands_and_signed_zero", "non_finite"])
+    def test_bytes_match_json_dump(self, tmp_path, entries):
+        path = tmp_path / "res.json"
+        resonances = ResonanceList(tuple(entries))
+        write_resonances(path, resonances)
+        expected = json.dumps(resonances.records(), sort_keys=True,
+                              indent=2) + "\n"
+        assert path.read_text(encoding="utf-8") == expected
 
     def test_rejects_non_array(self, tmp_path):
         path = tmp_path / "bad.json"
