@@ -161,9 +161,7 @@ class ExactEnsemble:
                             dt: Optional[float] = None):
         """Integrals of observables along [0, T] by midpoint sampling."""
         dt = self.model.step if dt is None else float(dt)
-        n_steps = int(round(T / dt))
-        if abs(n_steps * dt - T) > 1e-9:
-            raise ConfigError("T must be a multiple of the sampling step")
+        n_steps = _step_count(self.model, T, dt)
         totals = np.zeros((len(observables), self.n))
         for _ in range(n_steps):
             self.advance(0.5 * dt)
@@ -223,10 +221,10 @@ class MidpointEnsemble:
         z, th, u = self.states()
         return evaluate_observable(self.model, spec, z, th, u)
 
-    def _force(self, z, xi, curvature):
+    def _force(self, z, xi, curvature, centers):
         """Hamiltonian vector field at (z, xi), plus the Gauss curvature there
-        when asked (None otherwise)."""
-        psi, px, py, lap = self.model.psi_pack(z, curvature)
+        when asked (None otherwise); the shape sums over ``centers``."""
+        psi, px, py, lap = self.model.psi_pack(z, curvature, centers)
         y = z.imag
         e2 = np.exp(-2.0 * psi)
         s = (xi * np.conj(xi)).real
@@ -240,11 +238,15 @@ class MidpointEnsemble:
         h = self.h
         z0, xi0 = self.z, self.xi
         mz, mxi = z0, xi0
+        # No iterate moves further than the step from the reduced start
+        # point, so the sector lists looked up there serve every pass.
+        shape = self.model.shape
+        centers = None if shape is None else shape.sector_centers(z0)
         for i in range(self.n_iter):
             # The Riccati update reads the curvature of the last force
             # evaluation only, and backward steps never read it.
             last = i == self.n_iter - 1 and h > 0.0
-            vz, vxi, curv = self._force(mz, mxi, last)
+            vz, vxi, curv = self._force(mz, mxi, last, centers)
             mz = z0 + 0.5 * h * vz
             mxi = xi0 + 0.5 * h * vxi
         self.z = 2.0 * mz - z0

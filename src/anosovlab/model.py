@@ -33,7 +33,7 @@ from .fuchsian import (
     matrix_base_point,
     matrix_to_disk,
 )
-from .surface import PerturbationShape, octagon_area, octagon_grid
+from .surface import SECTOR_MARGIN, PerturbationShape, octagon_area, octagon_grid
 
 MODEL_KINDS = ("constant_curvature", "conformal_perturbation")
 
@@ -175,16 +175,18 @@ class FlowModel:
             return np.zeros(np.shape(z))
         return self.epsilon * self.shape.value(z)
 
-    def psi_pack(self, z, laplacian=True):
+    def psi_pack(self, z, laplacian=True, centers=None):
         """(psi, dpsi/dx, dpsi/dy, hyperbolic Laplacian of psi).
 
         With ``laplacian=False`` the Laplacian is skipped and returned as None.
+        ``centers`` are the bump centres to sum over, as for
+        ``PerturbationShape.pack``; the exact model ignores them.
         """
         if self.is_exact:
             zero = np.zeros(np.shape(z))
             lap = zero.copy() if laplacian else None
             return zero, zero.copy(), zero.copy(), lap
-        val, gx, gy, lap = self.shape.pack(z, laplacian)
+        val, gx, gy, lap = self.shape.pack(z, laplacian, centers)
         e = self.epsilon
         return e * val, e * gx, e * gy, (e * lap if laplacian else None)
 
@@ -247,8 +249,9 @@ def build_model(config: Optional[Mapping] = None, **overrides) -> FlowModel:
         generators, sigma=float(cfg["shape_sigma"]), depth=int(cfg["orbit_depth"])
     )
     # Total certified defect of psi across side pairings: truncation tail of
-    # the orbit sum plus (twice) what runtime pruning can drop on the polygon.
-    gap = shape.pruning_gap(octagon_grid())
+    # the orbit sum plus (twice) what the runtime sector lists can drop on
+    # the polygon widened by the margin a step may move.
+    gap = shape.pruning_gap(octagon_grid(margin=SECTOR_MARGIN))
     defect = (shape.invariance_defect(generators) + 2.0 * gap) * abs(epsilon)
     tol = float(cfg["invariance_tol"])
     if defect > tol:

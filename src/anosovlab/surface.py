@@ -18,6 +18,16 @@ Radial derivatives of a bump f(d) = exp(-d^2 / (2 sigma^2)):
              = f * (d^2/sigma^4 - 1/sigma^2 - d coth(d) / sigma^2),
 
 where Delta is the hyperbolic Laplacian and d coth d -> 1 at d -> 0.
+
+Runtime evaluation sums each point's bumps over a short list of centres.
+The polygon is split into its 16 symmetry sectors of angle pi/8 in the disk
+picture, and each sector keeps the centres whose bump can exceed the pruning
+tolerance within SECTOR_MARGIN of the sector (the closed-form distance to a
+polar sector is ``sector_dist``).  The margin is the largest step the
+midpoint integrator accepts, so a list looked up at a step's reduced start
+point serves every fixed-point iterate of that step.  What the lists drop
+is measured, not assumed: ``PerturbationShape.pruning_gap`` compares each
+list with the whole orbit sum over its widened sector.
 """
 from __future__ import annotations
 
@@ -31,10 +41,18 @@ from .fuchsian import (
     dist_hp,
     group_words,
     mobius,
+    to_disk,
     to_halfplane,
 )
 
 _Q = float(np.tanh(APOTHEM))  # disk-model parameter of the octagon sides
+
+# The dihedral symmetry group of the octagon has order 16; its mirror axes
+# cut the polygon into 16 congruent sectors of angle pi/8 in the disk.
+N_SECTORS = 16
+# The largest step MidpointEnsemble accepts; no fixed-point iterate of a step
+# moves further than this from the step's reduced start point.
+SECTOR_MARGIN = 0.5
 
 
 def fold_octant(phi):
@@ -106,13 +124,47 @@ def radial_quantile(w):
     return (rho2 / (1.0 - rho2)) * (1.0 - rm2) / rm2
 
 
-def octagon_grid(n_ang=192, n_rad=24):
-    """Half-plane points on a polar grid covering the polygon, centre included."""
+def octagon_grid(n_ang=192, n_rad=24, margin=0.0):
+    """Half-plane points on a polar grid covering the polygon, centre included.
+
+    A positive margin pushes the outer ring that hyperbolic distance
+    radially beyond the boundary.
+    """
     phi = np.linspace(0.0, 2.0 * np.pi, n_ang, endpoint=False)
     frac = np.linspace(0.0, 1.0, n_rad + 1)[1:]
-    rho = frac[:, None] * octagon_rho_max(phi)[None, :]
+    rho_out = octagon_rho_max(phi)
+    if margin:
+        rho_out = np.tanh(np.arctanh(rho_out) + 0.5 * margin)
+    rho = frac[:, None] * rho_out[None, :]
     w = (rho * np.exp(1j * phi)).ravel()
     return np.concatenate([[1j], to_halfplane(w)])
+
+
+def sector_index(z):
+    """Symmetry sector of half-plane points: the k with disk angle in
+    [k, k + 1) * 2 pi / N_SECTORS."""
+    phi = np.angle(to_disk(np.asarray(z, dtype=complex)))
+    return np.floor(phi * (N_SECTORS / (2.0 * np.pi))).astype(np.intp) % N_SECTORS
+
+
+def sector_dist(z, k):
+    """Hyperbolic distance from half-plane points to the polar sector k,
+    the points of the circumscribed disk with disk angle in sector k.
+
+    A point at radius r from i whose angle lies delta outside the sector is
+    nearest to the closer edge ray; the ray point at radius t lies at
+    cosh d = cosh(r - t) + sinh r sinh t (1 - cos delta) (law of cosines),
+    least at tanh t = tanh r cos delta, clipped to [0, VERTEX_RADIUS].
+    Inside the sector's angle this is max(0, r - VERTEX_RADIUS).
+    """
+    w = to_disk(np.asarray(z, dtype=complex))
+    r = 2.0 * np.arctanh(np.abs(w))
+    half = np.pi / N_SECTORS
+    off = np.abs(np.angle(w * np.exp(-1j * (2.0 * np.asarray(k) + 1.0) * half)))
+    cos = np.cos(np.maximum(off - half, 0.0))
+    t = np.arctanh(np.clip(np.tanh(r) * cos, 0.0, np.tanh(VERTEX_RADIUS)))
+    ch = np.cosh(r - t) + np.sinh(r) * np.sinh(t) * (1.0 - cos)
+    return np.arccosh(np.maximum(ch, 1.0))
 
 
 def sample_octagon_positions(n, rng, weight=None, weight_sup=None):
@@ -155,8 +207,13 @@ class PerturbationShape:
 
     Centres are the orbit of a base point under all reduced words up to
     `depth`, pruned to those whose bump can reach the circumscribed disk of
-    the polygon above `prune_tol`.  All evaluation assumes arguments lie in
-    (or within one step of) the fundamental polygon; callers reduce first.
+    the polygon above `prune_tol` (`centers`).  Each point then sums over
+    the list of its symmetry sector only: row k of `sector_table` holds the
+    centres whose bump can exceed `prune_tol` within SECTOR_MARGIN of the
+    polar sector k, padded to a common width (`n_centers`) with a centre so
+    far away that its terms are exactly 0.  `pruning_gap` measures what the
+    lists drop.  All evaluation assumes arguments lie within SECTOR_MARGIN
+    of the fundamental polygon; callers reduce first.
     """
 
     def __init__(self, generators, sigma=0.35, depth=3, base_point=1j,
@@ -176,56 +233,82 @@ class PerturbationShape:
             seen.add(key)
             centers.append(c)
         self.all_centers = np.array(centers)
-        # Runtime evaluation keeps only centres whose bump can reach the
-        # circumscribed disk of the polygon above prune_tol; the dynamics
-        # never evaluates the shape more than one integrator step outside.
-        # The discarded tail is certified by pruning_gap below.
-        reach = np.maximum(0.0, dist_hp(self.all_centers, 1j) - VERTEX_RADIUS)
-        keep = np.exp(-0.5 * (reach / self.sigma) ** 2) >= prune_tol
-        self.centers = self.all_centers[keep]
+        # A bump stays below prune_tol beyond hyperbolic distance `reach`
+        # from its centre.
+        reach = self.sigma * np.sqrt(-2.0 * np.log(prune_tol))
+        self.centers = self.all_centers[
+            dist_hp(self.all_centers, 1j) - VERTEX_RADIUS <= reach]
+        need = (sector_dist(self.centers, np.arange(N_SECTORS)[:, None])
+                - SECTOR_MARGIN <= reach)
+        # The pad lies 40 sigma beyond every point within the margin of the
+        # circumscribed disk, where its bump underflows to exactly 0.
+        pad = 1j * np.exp(VERTEX_RADIUS + SECTOR_MARGIN + 40.0 * self.sigma)
+        self.sector_table = np.full((N_SECTORS, need.sum(axis=1).max()), pad)
+        for row, keep in zip(self.sector_table, need):
+            row[: keep.sum()] = self.centers[keep]
 
     @property
     def n_centers(self):
-        return len(self.centers)
+        """Centres each point sums over: the width of the sector lists."""
+        return self.sector_table.shape[1]
 
-    def _dist(self, z, centers):
-        u = cosh_dist_hp(np.asarray(z, dtype=complex)[..., None], centers)
-        return np.arccosh(np.maximum(1.0, u))
+    def sector_centers(self, z):
+        """The sector list of each point, shape z.shape + (n_centers,)."""
+        return self.sector_table[sector_index(z)]
+
+    def _bumps(self, z, centers):
+        # cosh d is not kept alive: on the certificate grid each array of
+        # the whole orbit sum takes 17 MB
+        d = np.arccosh(np.maximum(
+            1.0, cosh_dist_hp(np.asarray(z, dtype=complex)[..., None], centers)))
+        return np.exp(-0.5 * (d / self.sigma) ** 2).sum(axis=-1)
 
     def value(self, z):
-        d = self._dist(z, self.centers)
-        return np.exp(-0.5 * (d / self.sigma) ** 2).sum(axis=-1)
+        return self._bumps(z, self.sector_centers(z))
 
     def value_full(self, z):
         """The whole truncated orbit sum, no pruning; valid anywhere in H."""
-        d = self._dist(z, self.all_centers)
-        return np.exp(-0.5 * (d / self.sigma) ** 2).sum(axis=-1)
+        return self._bumps(z, self.all_centers)
 
     def pruning_gap(self, z):
-        """Max contribution of pruned centres over the given points."""
-        if len(self.centers) == len(self.all_centers):
-            return 0.0
-        return float(np.max(np.abs(self.value_full(z) - self.value(z))))
+        """Max over sectors of what the sector's list drops from the whole
+        orbit sum, at those of the given points within SECTOR_MARGIN of the
+        sector."""
+        z = np.ravel(np.asarray(z, dtype=complex))
+        full = self.value_full(z)
+        near = sector_dist(z, np.arange(N_SECTORS)[:, None]) <= SECTOR_MARGIN
+        gap = 0.0
+        for row, mask in zip(self.sector_table, near):
+            if mask.any():
+                drop = np.abs(full[mask] - self._bumps(z[mask], row))
+                gap = max(gap, float(drop.max()))
+        return gap
 
-    def pack(self, z, laplacian=True):
+    def pack(self, z, laplacian=True, centers=None):
         """(value, d/dx, d/dy, hyperbolic Laplacian) at half-plane points.
 
-        With ``laplacian=False`` the last entry is None and its terms are
-        never formed; the first three entries are the same bits either way.
+        Each point sums over its row of `centers`, by default its own sector
+        list.  A caller may pass ``sector_centers(z0)`` instead when each
+        point lies within SECTOR_MARGIN of its reduced point z0.  With
+        ``laplacian=False`` the last entry is None and its terms are never
+        formed; the first three entries are the same bits either way.
         """
-        z = np.asarray(z, dtype=complex)[..., None]
-        c = self.centers
+        z = np.asarray(z, dtype=complex)
+        c = self.sector_centers(z) if centers is None else centers
+        z = z[..., None]
         x, y = z.real, z.imag
-        cx, cy = c.real, c.imag
-        # cosh d(z, c), written out to share y * cy with its partials below
-        ycy = y * cy
-        u = 1.0 + np.abs(z - c) ** 2 / (2.0 * ycy)
-        d = np.arccosh(np.maximum(1.0, u))
+        # cosh d(z, c), written out to share its pieces with the partials;
+        # u >= 1 exactly, as 1 plus a nonnegative number
+        dx = x - c.real
+        dy = y - c.imag
+        ycy = y * c.imag
+        u = 1.0 + (dx * dx + dy * dy) / (2.0 * ycy)
+        d = np.arccosh(u)
         dd = d * d
-        sh = np.sqrt(np.maximum(u * u - 1.0, 0.0))
+        sh = np.sqrt(u * u - 1.0)
         # r = d / sinh d, extended through d = 0 by its series
-        small = sh < 1e-6
-        if small.any():
+        if sh.min(initial=1.0) < 1e-6:
+            small = sh < 1e-6
             r = np.where(small, 1.0 - dd / 6.0, d / np.where(small, 1.0, sh))
         else:
             r = d / sh
@@ -233,8 +316,8 @@ class PerturbationShape:
         # same bits as -0.5 * d * d: scaling by a power of two is exact
         g = np.exp(-0.5 * dd / s2)
         # partials of cosh d(z, c) in x and y
-        ux = (x - cx) / ycy
-        uy = (y - cy) / ycy - (u - 1.0) / y
+        ux = dx / ycy
+        uy = dy / ycy - (u - 1.0) / y
         coef = -(g * r) / s2
         val = g.sum(axis=-1)
         gx = (coef * ux).sum(axis=-1)

@@ -206,6 +206,21 @@ def test_guards(exact_model, perturbed_model):
         ExactEnsemble(perturbed_model, np.eye(2))
 
 
+def test_advance_integrating_rejects_negative_time(exact_model):
+    ens = ExactEnsemble.from_states(exact_model, np.array([1j]), np.array([0.0]))
+    with pytest.raises(ConfigError):
+        ens.advance_integrating(-1.0, [ObservableSpec(c_const=1.0)])
+    assert ens.t == 0.0
+
+
+def test_advance_integrating_checks_the_horizon(exact_model):
+    # every half-step lies inside the horizon of 500; the total does not
+    ens = ExactEnsemble.from_states(exact_model, np.array([1j]), np.array([0.0]))
+    with pytest.raises(HorizonError):
+        ens.advance_integrating(1000.0, [ObservableSpec(c_const=1.0)], dt=0.5)
+    assert ens.t == 0.0
+
+
 def test_evaluate_observable_guards_and_values(exact_model, perturbed_model):
     z = np.array([1j])
     with pytest.raises(ValueError):
@@ -334,9 +349,10 @@ def test_verify_anosov_matches_per_direction_runs(perturbed_model):
 
 def test_perturbed_steps_digest(perturbed_model):
     # Pins the bits of 200 forward and 200 backward perturbed midpoint steps.
-    # The digest was recorded before the force kernel skipped the Laplacian on
-    # all but the last fixed-point pass (x86-64 with AVX-512, numpy 2.4);
-    # another libm or SIMD path may round transcendental functions differently.
+    # The digest was recorded once each point summed only its sector's list
+    # of bump centres, looked up once per step (x86-64 with AVX-512,
+    # numpy 2.4); another libm or SIMD path may round transcendental
+    # functions differently.
     rng = np.random.default_rng(72)
     z, th = sample_liouville(perturbed_model, 24, rng)
     digest = hashlib.sha256()
@@ -347,7 +363,7 @@ def test_perturbed_steps_digest(perturbed_model):
         for a in (ens.z, ens.xi, ens.u):
             digest.update(a.tobytes())
     assert digest.hexdigest() == (
-        "77ee2b572cb8fe5150ad50f501cfa62bee8c7cf7baf4aa05579ff5d20bdc5b2b")
+        "afda89c68781f65a437862af68567606adff66be999d4ca766168e82e0cc98c3")
 
 
 def test_pack_without_laplacian_is_bit_identical(perturbed_model):

@@ -6,10 +6,14 @@ from anosovlab.fuchsian import (
     APOTHEM,
     VERTEX_RADIUS,
     bolza_generators,
+    dist_hp,
     mobius,
+    to_disk,
     to_halfplane,
 )
 from anosovlab.surface import (
+    N_SECTORS,
+    SECTOR_MARGIN,
     PerturbationShape,
     fold_octant,
     octagon_area,
@@ -17,6 +21,8 @@ from anosovlab.surface import (
     octagon_rho_max,
     radial_quantile,
     sample_octagon_positions,
+    sector_dist,
+    sector_index,
 )
 
 
@@ -106,9 +112,10 @@ class TestPerturbationShape:
 
     def test_center_counts(self):
         # 457 reduced words at depth 3; pruning keeps the ones that can reach
-        # the circumscribed disk
+        # the circumscribed disk, and each point sums over its sector's list
         assert len(self.shape.all_centers) == 457
-        assert self.shape.n_centers == 41
+        assert len(self.shape.centers) == 41
+        assert self.shape.n_centers == self.shape.sector_table.shape[1] == 14
 
     def test_value_basics(self):
         v = self.shape.value(np.array([1j]))
@@ -149,3 +156,111 @@ class TestPerturbationShape:
     def test_rejects_bad_sigma(self):
         with pytest.raises(ValueError):
             PerturbationShape(self.gens, sigma=0.0)
+
+    @staticmethod
+    def _reference_pack(shape, z):
+        """pack summed over all pruned centres, with no sector lists."""
+        c = shape.centers
+        return shape.pack(z, centers=np.broadcast_to(c, np.shape(z) + c.shape))
+
+    def _check_points(self):
+        # the centre, the vertices, disk angles on and next to the sector
+        # edges, and points pushed SECTOR_MARGIN radially outside the polygon
+        k = np.arange(2 * N_SECTORS) * np.pi / N_SECTORS
+        phi = np.concatenate([k, k + 1e-12, k - 1e-12])
+        rho = octagon_rho_max(phi)
+        vertices = (2 * np.arange(8) + 1) * np.pi / 8.0
+        rho_out = np.tanh(np.arctanh(rho) + 0.5 * SECTOR_MARGIN)
+        w = np.concatenate([
+            [0.0],
+            octagon_rho_max(vertices) * np.exp(1j * vertices),
+            0.5 * rho * np.exp(1j * phi),
+            rho * np.exp(1j * phi),
+            rho_out * np.exp(1j * phi),
+        ])
+        return to_halfplane(w)
+
+    def test_sector_lists_match_all_pruned_centres(self):
+        z = self._check_points()
+        # an off-centre base point gives lists of unequal length, so padded
+        off_centre = PerturbationShape(self.gens, base_point=0.4 + 1.3j)
+        for shape in (self.shape, off_centre):
+            ref = self._reference_pack(shape, z)
+            for a, b in zip(shape.pack(z), ref):
+                np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-13)
+            np.testing.assert_allclose(shape.value(z), ref[0], rtol=0.0, atol=1e-13)
+        assert np.any(off_centre.sector_table.imag > 1e6)  # some rows padded
+
+    def test_sector_dist_closed_form(self):
+        # against the minimum over a dense polar grid of each sector
+        rng = np.random.default_rng(43)
+        z = to_halfplane(0.95 * np.sqrt(rng.uniform(size=40))
+                         * np.exp(2j * np.pi * rng.uniform(size=40)))
+        mid = (np.arange(N_SECTORS) + 0.5) * (2.0 * np.pi / N_SECTORS)
+        z = np.concatenate([[1j], z, to_halfplane(0.6 * np.exp(1j * mid))])
+        r = np.linspace(0.0, VERTEX_RADIUS, 400)
+        for k in (0, 5, 11):
+            a = np.linspace(k, k + 1, 400) * (2.0 * np.pi / N_SECTORS)
+            grid = to_halfplane((np.tanh(0.5 * r)[:, None]
+                                 * np.exp(1j * a)[None, :]).ravel())
+            brute = dist_hp(z[:, None], grid[None, :]).min(axis=1)
+            d = sector_dist(z, k)
+            assert np.all(d <= brute + 1e-12)
+            np.testing.assert_allclose(d, brute, atol=2e-2)
+            inside = (sector_index(z) == k) & (
+                np.abs(to_disk(z)) <= np.tanh(0.5 * VERTEX_RADIUS))
+            assert inside.any()
+            np.testing.assert_array_equal(d[inside], 0.0)
+
+    def test_hoisted_lists_serve_a_whole_step(self, monkeypatch):
+        # the largest accepted step, h = SECTOR_MARGIN, from states that
+        # start on and next to the vertices and sector edges
+        from anosovlab.flow import MidpointEnsemble
+        from anosovlab.model import build_model
+
+        model = build_model(model="conformal_perturbation", epsilon=0.05)
+        shape = model.shape
+        z0 = self._check_points()
+        z0 = z0[model.domain.contains(z0)]
+        z = np.repeat(z0, 8)
+        th = np.tile(np.arange(8) * np.pi / 4.0 + 0.1, len(z0))
+        calls = []
+        pack = shape.pack
+
+        def spy(zz, laplacian=True, centers=None):
+            calls.append((np.copy(zz), centers))
+            return pack(zz, laplacian, centers)
+
+        monkeypatch.setattr(shape, "pack", spy)
+        for h in (SECTOR_MARGIN, -SECTOR_MARGIN):
+            MidpointEnsemble(model, z, theta_h=th, h=h).step()
+        assert len(calls) == 2 * MidpointEnsemble.n_iter
+        crossed = False
+        for zz, centers in calls:
+            assert centers is not None
+            crossed |= np.any(centers != shape.sector_centers(zz))
+            for a, b in zip(pack(zz, centers=centers), pack(zz)):
+                np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-13)
+        assert crossed  # some iterates left the sector of their start point
+
+    def test_pruning_gap_sees_a_dropped_centre(self, monkeypatch):
+        # the base point's bump (first in every list) replaced by one so far
+        # away that it adds 0
+        table = self.shape.sector_table.copy()
+        assert table[3, 0] == 1j
+        table[3, 0] = 1j * np.exp(60.0)
+        monkeypatch.setattr(self.shape, "sector_table", table)
+        assert self.shape.pruning_gap(octagon_grid()) > 1e-6
+
+    def test_build_model_rejects_a_list_that_drops_too_much(self, monkeypatch):
+        from anosovlab import model as model_module
+        from anosovlab.errors import ModelValidationError
+
+        class Dropping(PerturbationShape):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.sector_table[N_SECTORS - 1, 1] = 1j * np.exp(60.0)
+
+        monkeypatch.setattr(model_module, "PerturbationShape", Dropping)
+        with pytest.raises(ModelValidationError, match="group-periodic"):
+            model_module.build_model(model="conformal_perturbation")
