@@ -3,120 +3,27 @@ on negatively curved surfaces: flow backends on the Bolza surface, band
 edges from extremal time averages, the exact constant-curvature resonance
 catalog, correlation functions with harmonic inversion, and counting and
 concentration statistics.
+
+The top level re-exports the entry points of the main pipelines; everything
+else is imported from its submodule.
 """
 
 __version__ = "0.1.0"
 
-from .birkhoff import (
-    BandEdges,
-    SamplingPlan,
-    band_edges,
-    band_edges_upto,
-    birkhoff_average,
-    space_average,
-)
-from .catalog import (
-    LaplaceSpectrum,
-    Resonance,
-    ResonanceList,
-    resonances_from_laplacian,
-    synthetic_weyl_spectrum,
-)
-from .correlation import (
-    CorrelationSeries,
-    correlation_series,
-    mean_zero,
-    observable_mean,
-)
-from .errors import (
-    AnosovLabError,
-    ConfigError,
-    HorizonError,
-    InversionError,
-    ModelValidationError,
-    RiccatiBlowupError,
-    StepSizeError,
-)
-from .flow import (
-    AnosovReport,
-    ExactEnsemble,
-    MidpointEnsemble,
-    dual_seeds,
-    flow_map,
-    liouville_ks,
-    make_ensemble,
-    sample_liouville,
-    verify_anosov,
-)
-from .inversion import (
-    ExpansionReport,
-    ModeSet,
-    expansion_residual,
-    harmonic_inversion,
-)
-from .model import (
-    FlowModel,
-    ObservableSpec,
-    PhasePoint,
-    PotentialSpec,
-    build_model,
-    damping_observable,
-)
-from .stats import (
-    BandTestReport,
-    ConcentrationReport,
-    WeylReport,
-    band_membership,
-    concentration,
-    weyl_count,
-)
+from .birkhoff import SamplingPlan, band_edges_upto
+from .correlation import correlation_series, mean_zero
+from .flow import verify_anosov
+from .inversion import harmonic_inversion
+from .model import ObservableSpec, PotentialSpec, build_model
 
 __all__ = [
-    "AnosovLabError",
-    "AnosovReport",
-    "BandEdges",
-    "BandTestReport",
-    "ConcentrationReport",
-    "ConfigError",
-    "CorrelationSeries",
-    "ExactEnsemble",
-    "ExpansionReport",
-    "FlowModel",
-    "HorizonError",
-    "InversionError",
-    "LaplaceSpectrum",
-    "MidpointEnsemble",
-    "ModeSet",
-    "ModelValidationError",
     "ObservableSpec",
-    "PhasePoint",
     "PotentialSpec",
-    "Resonance",
-    "ResonanceList",
-    "RiccatiBlowupError",
     "SamplingPlan",
-    "StepSizeError",
-    "WeylReport",
-    "band_edges",
     "band_edges_upto",
-    "band_membership",
-    "birkhoff_average",
     "build_model",
-    "concentration",
     "correlation_series",
-    "damping_observable",
-    "dual_seeds",
-    "expansion_residual",
-    "flow_map",
     "harmonic_inversion",
-    "liouville_ks",
-    "make_ensemble",
     "mean_zero",
-    "observable_mean",
-    "resonances_from_laplacian",
-    "sample_liouville",
-    "space_average",
-    "synthetic_weyl_spectrum",
     "verify_anosov",
-    "weyl_count",
 ]

@@ -17,8 +17,7 @@ the plan tolerance.
 
 Averages of the past orbit, as in (1/t) int_0^t f(phi_{-s} x) ds, equal
 forward averages started from the shifted point phi_{-t}(x); ensemble
-extremes are therefore sampled forward only, while `birkhoff_average`
-honours the backward convention pointwise.
+extremes are therefore sampled forward only.
 """
 from __future__ import annotations
 
@@ -28,13 +27,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import AnosovLabError, ConfigError
-from .flow import (
-    ExactEnsemble,
-    MidpointEnsemble,
-    evaluate_observable,
-    sample_liouville,
-)
-from .fuchsian import axis_seed, closed_geodesic_elements, matrix_angle_hp, matrix_base_point
+from .flow import MidpointEnsemble, dual_seeds, evaluate_observable, sample_liouville
 from .model import FlowModel, ObservableSpec, PotentialSpec, damping_observable
 
 _U_OBSERVABLE = ObservableSpec(c_u_half=2.0)  # integrand u itself
@@ -49,7 +42,7 @@ class SamplingPlan:
     windows: Tuple[float, ...] = (50.0, 100.0, 200.0)
     word_length: int = 6
     max_closed: int = 128
-    grid_dt: float = 0.5  # observable sampling step of the exact backend
+    grid_dt: float = 0.5  # unused; kept because the acceptance suite passes it
     seed: int = 7
     extrapolation_tol: float = 1e-3
 
@@ -104,62 +97,41 @@ class WindowAverages:
         return self.avg_damping - k * self.avg_u
 
 
-def _plan_seeds(model: FlowModel, plan: SamplingPlan, rng):
-    if plan.seed_rule == "liouville":
-        z, th = sample_liouville(model, plan.n_orbits, rng)
-        return z, th, len(z)
-    mats = [
-        axis_seed(m)[0]
-        for m, _ in closed_geodesic_elements(
-            model.generators, plan.word_length, limit=plan.max_closed
-        )
-    ]
-    g = np.stack(mats)
-    model.domain.reduce_matrices(g)
-    z_w, th_w = matrix_base_point(g), matrix_angle_hp(g)
-    if plan.seed_rule == "words":
-        return z_w, th_w, 0
-    z_r, th_r = sample_liouville(model, plan.n_orbits, rng)
-    return (
-        np.concatenate([z_r, z_w]),
-        np.concatenate([th_r, th_w]),
-        len(z_r),
-    )
-
-
 def window_averages(model: FlowModel, potential: PotentialSpec,
                     plan: SamplingPlan) -> WindowAverages:
     """One ensemble pass yielding per-window averages of D and of u.
 
     All band indices share this pass: the k dependence is the linear
-    combination avg_D - k avg_u, formed afterwards.
+    combination avg_D - k avg_u, formed afterwards.  At constant curvature
+    u = 1 and D is constant along every orbit, so each window average is the
+    value of D at the seed and no orbit is run; the seeds are still drawn,
+    because the orbit count and the per-source columns depend on them.
     """
     plan.validate(model)
     rng = np.random.default_rng(plan.seed)
-    z, th, n_random = _plan_seeds(model, plan, rng)
+    n_random = 0 if plan.seed_rule == "words" else plan.n_orbits
+    max_closed = 0 if plan.seed_rule == "liouville" else plan.max_closed
+    z, th = dual_seeds(model, n_random, rng, plan.word_length, max_closed)
     damp = damping_observable(model, potential)
-    obs = [damp, _U_OBSERVABLE]
+    shape = (len(plan.windows), len(z))
 
     if model.is_exact:
-        ens = ExactEnsemble.from_states(model, z, th)
-        integrate = lambda T: ens.advance_integrating(T, obs, dt=plan.grid_dt)
+        d = evaluate_observable(model, damp, z, th, np.ones(len(z)))
+        avg_d, avg_u = np.tile(d, (len(plan.windows), 1)), np.ones(shape)
     else:
         ens = MidpointEnsemble(model, z, theta_h=th)
         ens.burn_in()
-        integrate = lambda T: ens.advance(T, observables=obs)
-
-    t_prev = 0.0
-    acc = np.zeros((2, len(z)))
-    rows_d, rows_u = [], []
-    for T in plan.windows:
-        acc += integrate(T - t_prev)
-        t_prev = T
-        rows_d.append(acc[0] / T)
-        rows_u.append(acc[1] / T)
+        t_prev = 0.0
+        acc = np.zeros((2, len(z)))
+        avg_d, avg_u = np.empty(shape), np.empty(shape)
+        for i, T in enumerate(plan.windows):
+            acc += ens.advance(T - t_prev, observables=[damp, _U_OBSERVABLE])
+            t_prev = T
+            avg_d[i], avg_u[i] = acc / T
     return WindowAverages(
         windows=tuple(plan.windows),
-        avg_damping=np.array(rows_d),
-        avg_u=np.array(rows_u),
+        avg_damping=avg_d,
+        avg_u=avg_u,
         n_random=n_random,
     )
 
@@ -211,9 +183,15 @@ def _edges_from_averages(avgs: WindowAverages, k: int,
     )
 
 
+def _check_band_index(k: int) -> None:
+    if k < 0:
+        raise ConfigError("band index must be nonnegative, got %d" % k)
+
+
 def band_edges(model: FlowModel, potential: PotentialSpec, k: int,
                plan: Optional[SamplingPlan] = None) -> BandEdges:
     """Edges of band k; see band_edges_upto for sharing work across k."""
+    _check_band_index(k)
     plan = plan or SamplingPlan()
     avgs = window_averages(model, potential, plan)
     return _edges_from_averages(avgs, k, plan)
@@ -226,6 +204,7 @@ def band_edges_upto(model: FlowModel, potential: PotentialSpec, k_max: int,
     Asserts the strict band ordering gamma^{+/-}(k+1) < gamma^{+/-}(k),
     which holds because u > 0.
     """
+    _check_band_index(k_max)
     plan = plan or SamplingPlan()
     avgs = window_averages(model, potential, plan)
     out = [_edges_from_averages(avgs, k, plan) for k in range(k_max + 1)]
@@ -238,73 +217,8 @@ def band_edges_upto(model: FlowModel, potential: PotentialSpec, k_max: int,
     return out
 
 
-def _observable_callable(model, f):
-    if isinstance(f, ObservableSpec):
-        return lambda z, th, u: evaluate_observable(model, f, z, th, u)
-    if callable(f):
-        return f
-    raise ConfigError("observable must be an ObservableSpec or a callable")
-
-
-def birkhoff_average(model: FlowModel, f, z, theta_h, t: float,
-                     dt: Optional[float] = None):
-    """Average of f over the past orbit: (1/t) int_0^t f(phi_{-s} p) ds.
-
-    Exact backend: the start point phi_{-t}(p) is computed in closed form and
-    the average taken forward from there (the two parametrisations traverse
-    the same points).  Midpoint backend: positions are integrated backwards
-    (which is stable), the expansion rate is then propagated forwards along
-    the stored orbit from a burn-in tail, never backwards, and the average
-    uses the scheme's own midpoints.
-    """
-    if t <= 0:
-        raise ConfigError("averaging time must be positive")
-    fun = _observable_callable(model, f)
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    theta_h = np.atleast_1d(np.asarray(theta_h, dtype=float))
-
-    if model.is_exact:
-        ens = ExactEnsemble.from_states(model, z, theta_h)
-        ens.advance(-t)
-        step = float(0.05 if dt is None else dt)
-        n_steps = int(round(t / step))
-        if abs(n_steps * step - t) > 1e-9:
-            raise ConfigError("t must be a multiple of the sampling step")
-        total = np.zeros(len(z))
-        for _ in range(n_steps):
-            ens.advance(0.5 * step)
-            zz, th, u = ens.states()
-            total += fun(zz, th, u)
-            ens.advance(0.5 * step)
-        return total * step / t
-
-    h = float(model.step if dt is None else dt)
-    ens = MidpointEnsemble(model, z, theta_h=theta_h, h=-h)
-    n_avg = int(round(t / h))
-    if abs(n_avg * h - t) > 1e-9:
-        raise ConfigError("t must be a multiple of the step")
-    n_burn = int(round(model.riccati_burn / h))
-    mids_z = np.empty((n_avg + n_burn, len(z)), dtype=complex)
-    mids_th = np.empty((n_avg + n_burn, len(z)))
-    for i in range(n_avg + n_burn):
-        mz, mth, _ = ens.step()
-        mids_z[i] = mz
-        mids_th[i] = mth
-    # forward Riccati along the stored orbit, oldest point first
-    u = np.ones(len(z))
-    a = 0.5 * h
-    total = np.zeros(len(z))
-    for i in range(n_avg + n_burn - 1, -1, -1):
-        curv = model.curvature(mids_z[i])
-        disc = 1.0 + 4.0 * a * (u - a * curv)
-        umid = (np.sqrt(np.maximum(disc, 0.0)) - 1.0) / (2.0 * a)
-        u = 2.0 * umid - u
-        if i < n_avg:
-            total += fun(mids_z[i], mids_th[i], umid)
-    return total * h / t
-
-
-def space_average(model: FlowModel, f, n_samples: int, seed: int = 11):
+def space_average(model: FlowModel, f: ObservableSpec, n_samples: int,
+                  seed: int = 11):
     """Monte Carlo volume average of an observable; returns (mean, stderr).
 
     Positions follow the conformal area weight e^{2 psi}; fibre angles are
@@ -314,17 +228,15 @@ def space_average(model: FlowModel, f, n_samples: int, seed: int = 11):
     """
     if n_samples < 1:
         raise ConfigError("n_samples must be at least 1")
-    fun = _observable_callable(model, f)
     rng = np.random.default_rng(seed)
     z, th = sample_liouville(model, n_samples, rng)
-    needs_u = isinstance(f, ObservableSpec) and f.needs_u
-    if needs_u and not model.is_exact:
+    if f.needs_u and not model.is_exact:
         ens = MidpointEnsemble(model, z, theta_h=th)
         ens.burn_in()
         z, th, u = ens.states()
     else:
         u = np.ones(n_samples)
-    vals = np.asarray(fun(z, th, u), dtype=float)
+    vals = evaluate_observable(model, f, z, th, u)
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / np.sqrt(n_samples)) if n_samples > 1 else 0.0
     return mean, stderr

@@ -299,23 +299,21 @@ def _run_verify(manifest, cfg):
 def _run_orbit_dump(manifest, cfg):
     import numpy as np
 
-    from .flow import make_ensemble, sample_liouville
+    from .flow import _step_count, evaluate_observable, make_ensemble, sample_liouville
     from .model import damping_observable
     from .tableio import write_metadata, write_orbit_dump
 
     model = _model(cfg)
     damp = damping_observable(model, _potential(cfg))
     span = _option(manifest, "t", cfg, "horizon", 50.0)
-    span = min(span, model.horizon)
     dt = cfg.get("dt", 0.1)
-    n = int(round(span / dt))
+    n = _step_count(model, span, dt)
     rng = np.random.default_rng(manifest.seed)
     z, th = sample_liouville(model, 1, rng)
     ens = make_ensemble(model, z, th)
     if not model.is_exact:
         ens.burn_in()
     rows_t, rows_z, rows_th, rows_u, rows_d = [], [], [], [], []
-    from .flow import evaluate_observable
     for i in range(n + 1):
         if i:
             ens.advance(dt)

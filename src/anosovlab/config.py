@@ -51,7 +51,6 @@ SCHEMA: Dict[str, tuple] = {
     "windows": (_parse_float_tuple, "increasing averaging windows"),
     "word_length": (int, "max word length for closed-geodesic seeds"),
     "max_closed": (int, "cap on closed-geodesic seeds"),
-    "grid_dt": (float, "observable sampling step on the exact backend"),
     "extrapolation_tol": (float, "edge convergence flag threshold"),
     "k_band": (int, "largest band index for band-edges"),
     # correlation runs
@@ -87,7 +86,7 @@ MODEL_KEYS = (
 
 PLAN_KEYS = (
     "n_orbits", "seed_rule", "windows", "word_length", "max_closed",
-    "grid_dt", "extrapolation_tol",
+    "extrapolation_tol",
 )
 
 

@@ -24,6 +24,7 @@ from .errors import ConfigError, HorizonError
 from .flow import (
     ExactEnsemble,
     MidpointEnsemble,
+    _shape,
     evaluate_observable,
     sample_liouville,
 )
@@ -85,7 +86,7 @@ def observable_mean(model: FlowModel, spec: ObservableSpec,
     area = model.area
     if spec.c_shape != 0.0:
         num = octagon_area(
-            lambda z: model.conformal_weight(z) * model.shape.value(z),
+            lambda z: model.conformal_weight(z) * _shape(model).value(z),
             n_ang=n_quad, n_rad=n_quad,
         )
         mean += spec.c_shape * num / area

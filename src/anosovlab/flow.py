@@ -86,13 +86,20 @@ def _step_count(model: FlowModel, T: float, h: float) -> int:
     return n_steps
 
 
+def _shape(model: FlowModel):
+    """The perturbation shape, which the shape observable term needs."""
+    if model.shape is None:
+        raise ConfigError("the shape observable term needs a perturbed model")
+    return model.shape
+
+
 def evaluate_observable(model: FlowModel, spec: ObservableSpec, z,
                         theta_h=None, u=None):
     """Evaluate an observable at reduced half-plane states."""
     z = np.asarray(z, dtype=complex)
     val = np.full(z.shape, spec.c_const, dtype=float)
-    if spec.c_shape != 0.0 and model.shape is not None:
-        val += spec.c_shape * model.shape.value(z)
+    if spec.c_shape != 0.0:
+        val += spec.c_shape * _shape(model).value(z)
     if spec.c_u_half != 0.0:
         if u is None:
             if not model.is_exact:
@@ -333,20 +340,19 @@ def dual_seeds(model: FlowModel, n_random: int, rng, word_length: int = 6,
     """Volume-random seeds plus points on short closed orbits.
 
     Closed-orbit seeds are axis points of group elements up to the given
-    word length (distinct traces only).  For perturbed metrics the same
-    points are used; they are no longer exactly periodic there, but they
-    still probe the recurrent set that extremises Birkhoff averages.
+    word length (distinct traces only); ``max_closed = 0`` skips the word
+    enumeration.  For perturbed metrics the same points are used; they are
+    no longer exactly periodic there, but they still probe the recurrent set
+    that extremises Birkhoff averages.
     """
     z_r, th_r = sample_liouville(model, n_random, rng)
-    mats = [axis_seed(m)[0] for m, _ in
-            closed_geodesic_elements(model.generators, word_length, limit=max_closed)]
-    if mats:
-        g = np.stack(mats)
-        model.domain.reduce_matrices(g)
-        z_c = matrix_base_point(g)
-        th_c = matrix_angle_hp(g)
-        return np.concatenate([z_r, z_c]), np.concatenate([th_r, th_c])
-    return z_r, th_r
+    if max_closed <= 0:
+        return z_r, th_r
+    g = np.stack([axis_seed(m)[0] for m, _ in closed_geodesic_elements(
+        model.generators, word_length, limit=max_closed)])
+    model.domain.reduce_matrices(g)
+    return (np.concatenate([z_r, matrix_base_point(g)]),
+            np.concatenate([th_r, matrix_angle_hp(g)]))
 
 
 @dataclass(frozen=True)

@@ -36,8 +36,6 @@ N_SIDES = 8
 _CAYLEY = np.array([[1.0, -1j], [1.0, 1j]])
 _CAYLEY_INV = np.linalg.inv(_CAYLEY)
 
-_J = np.array([[0.0, 1.0], [-1.0, 0.0]])  # rotates a tangent vector by pi
-
 
 def to_disk(z):
     """Cayley map H -> D, i -> 0."""
@@ -59,12 +57,6 @@ def mobius(g, z):
     return (g[..., 0, 0] * z + g[..., 0, 1]) / (g[..., 1, 0] * z + g[..., 1, 1])
 
 
-def flow_matrix(t):
-    """Geodesic-flow matrix a(t) = diag(e^{t/2}, e^{-t/2})."""
-    e = np.exp(0.5 * t)
-    return np.array([[e, 0.0], [0.0, 1.0 / e]])
-
-
 def cosh_dist_hp(z1, z2):
     """cosh of the hyperbolic distance between half-plane points."""
     return 1.0 + np.abs(z1 - z2) ** 2 / (2.0 * np.imag(z1) * np.imag(z2))
@@ -72,16 +64,6 @@ def cosh_dist_hp(z1, z2):
 
 def dist_hp(z1, z2):
     return np.arccosh(np.maximum(1.0, cosh_dist_hp(z1, z2)))
-
-
-def cosh_dist_disk(w1, w2):
-    return 1.0 + 2.0 * np.abs(w1 - w2) ** 2 / (
-        (1.0 - np.abs(w1) ** 2) * (1.0 - np.abs(w2) ** 2)
-    )
-
-
-def dist_disk(w1, w2):
-    return np.arccosh(np.maximum(1.0, cosh_dist_disk(w1, w2)))
 
 
 def bolza_generators() -> np.ndarray:
@@ -132,10 +114,6 @@ def halfplane_to_disk_angle(z, theta_h):
     return np.mod(theta_h + 0.5 * np.pi - 2.0 * np.angle(z + 1j), 2.0 * np.pi)
 
 
-def disk_to_halfplane_angle(z, theta_d):
-    return theta_d - 0.5 * np.pi + 2.0 * np.angle(z + 1j)
-
-
 def halfplane_to_matrix(z, theta_h):
     """Unit-determinant matrix for a half-plane point and direction angle.
 
@@ -154,17 +132,6 @@ def halfplane_to_matrix(z, theta_h):
     g[..., 1, 0] = sa / sy
     g[..., 1, 1] = ca / sy
     return g
-
-
-def disk_to_matrix(w, theta_d):
-    """Unit-determinant matrix for a disk point and disk-frame angle."""
-    z = to_halfplane(np.asarray(w, dtype=complex))
-    return halfplane_to_matrix(z, disk_to_halfplane_angle(z, np.asarray(theta_d, dtype=float)))
-
-
-def reverse_matrix(g):
-    """Flip the direction of the tangent vector (theta -> theta + pi)."""
-    return np.asarray(g) @ _J
 
 
 class DirichletDomain:
@@ -207,20 +174,15 @@ class DirichletDomain:
     def contains(self, z, tol=1e-12):
         return self.margin(np.asarray(z, dtype=complex)) >= -tol
 
-    def reduce_points(self, z, xi=None, max_rounds=64):
-        """Reduce half-plane points (and optionally covectors) into the polygon.
+    def _reduce(self, z, move, max_rounds):
+        """The reduction loop over base points z, updated in place.
 
-        Covectors transform by xi -> xi * conj((c z + d)^2) for the applied
-        matrix, which is the inverse-transpose action written complexly.
-        Returns (z, xi, rounds_used).
+        ``move(sel, m)`` applies the matrix m to the states at indices sel
+        and returns their new base points.  Later sweeps touch only the
+        points that moved in the previous one and still sit outside the
+        inscribed circle; everything else is already reduced.  Returns the
+        number of sweeps used.
         """
-        z = np.array(z, dtype=complex, copy=True)
-        if xi is not None:
-            xi = np.array(xi, dtype=complex, copy=True)
-        flat = z.ndim == 0
-        if flat:
-            z = z[None]
-            xi = xi[None] if xi is not None else None
         c0 = cosh_dist_hp(z, 1j)
         active = np.flatnonzero(c0 > self._cosh_in)  # only these can be outside
         rounds = 0
@@ -235,13 +197,33 @@ class DirichletDomain:
             jsel = jbest[better]
             for j in np.unique(jsel):
                 sel = idx[jsel == j]
-                m = self.neighbors_inv[j]
-                if xi is not None:
-                    q = m[1, 0] * z[sel] + m[1, 1]
-                    xi[sel] = xi[sel] * np.conj(q * q)
-                z[sel] = mobius(m, z[sel])
+                z[sel] = move(sel, self.neighbors_inv[j])
             c0[idx] = cosh_dist_hp(z[idx], 1j)
             active = idx[c0[idx] > self._cosh_in]
+        return rounds
+
+    def reduce_points(self, z, xi=None, max_rounds=64):
+        """Reduce half-plane points (and optionally covectors) into the polygon.
+
+        Covectors transform by xi -> xi * conj((c z + d)^2) for the applied
+        matrix, which is the inverse-transpose action written complexly.
+        Returns (z, xi, rounds_used).
+        """
+        z = np.array(z, dtype=complex, copy=True)
+        if xi is not None:
+            xi = np.array(xi, dtype=complex, copy=True)
+        flat = z.ndim == 0
+        if flat:
+            z = z[None]
+            xi = xi[None] if xi is not None else None
+
+        def move(sel, m):
+            if xi is not None:
+                q = m[1, 0] * z[sel] + m[1, 1]
+                xi[sel] = xi[sel] * np.conj(q * q)
+            return mobius(m, z[sel])
+
+        rounds = self._reduce(z, move, max_rounds)
         if flat:
             z = z[0]
             xi = xi[0] if xi is not None else None
@@ -266,33 +248,15 @@ class DirichletDomain:
 
     def reduce_matrices(self, g, max_rounds=64):
         """Left-multiply (n,2,2) matrices by group elements until the base
-        point lies in the polygon.  Returns the number of sweeps used.
-
-        Later sweeps touch only the points that moved in the previous one
-        and still sit outside the inscribed circle; everything else is
-        already reduced.
-        """
+        point lies in the polygon.  Returns the number of sweeps used."""
         g = np.asarray(g)
-        z = matrix_base_point(g)
-        c0 = cosh_dist_hp(z, 1j)
-        active = np.flatnonzero(c0 > self._cosh_in)
-        rounds = 0
-        while len(active) and rounds < max_rounds:
-            cj = cosh_dist_hp(z[active][:, None], self.neighbor_base)
-            jbest = np.argmin(cj, axis=1)
-            better = cj[np.arange(len(jbest)), jbest] < c0[active] * (1.0 - 1e-15)
-            if not better.any():
-                break
-            rounds += 1
-            idx = active[better]
-            jsel = jbest[better]
-            for j in np.unique(jsel):
-                sel = idx[jsel == j]
-                g[sel] = np.einsum("ab,nbc->nac", self.neighbors_inv[j], g[sel])
-            z[idx] = matrix_base_point(g[idx])
-            c0[idx] = cosh_dist_hp(z[idx], 1j)
-            active = idx[c0[idx] > self._cosh_in]
-        return rounds
+
+        def move(sel, m):
+            moved = np.einsum("ab,nbc->nac", m, g[sel])
+            g[sel] = moved
+            return matrix_base_point(moved)
+
+        return self._reduce(matrix_base_point(g), move, max_rounds)
 
 
 def _word_levels(generators, max_len):

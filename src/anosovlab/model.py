@@ -24,15 +24,7 @@ from typing import Mapping, Optional, Tuple
 import numpy as np
 
 from .errors import ConfigError, ModelValidationError
-from .fuchsian import (
-    DirichletDomain,
-    bolza_generators,
-    disk_to_matrix,
-    halfplane_to_matrix,
-    matrix_angle_hp,
-    matrix_base_point,
-    matrix_to_disk,
-)
+from .fuchsian import DirichletDomain, bolza_generators
 from .surface import SECTOR_MARGIN, PerturbationShape, octagon_area, octagon_grid
 
 MODEL_KINDS = ("constant_curvature", "conformal_perturbation")
@@ -47,54 +39,6 @@ MODEL_DEFAULTS = {
     "horizon": 500.0,
     "invariance_tol": 1e-8,
 }
-
-
-@dataclass(frozen=True)
-class PhasePoint:
-    """A unit tangent vector, stored as one or many unit-determinant matrices."""
-
-    matrix: np.ndarray
-
-    @classmethod
-    def from_halfplane(cls, z, theta_h):
-        return cls(halfplane_to_matrix(z, theta_h))
-
-    @classmethod
-    def from_disk(cls, w, theta_d):
-        return cls(disk_to_matrix(w, theta_d))
-
-    def halfplane(self):
-        return matrix_base_point(self.matrix), np.mod(
-            matrix_angle_hp(self.matrix), 2.0 * np.pi
-        )
-
-    def disk(self):
-        return matrix_to_disk(self.matrix)
-
-    def reversed(self):
-        from .fuchsian import reverse_matrix
-
-        return PhasePoint(reverse_matrix(self.matrix))
-
-    def normalized(self, domain: Optional[DirichletDomain] = None):
-        """Unit determinant, and base point inside the polygon when a domain
-        is given."""
-        g = np.array(self.matrix, dtype=float)
-        single = g.ndim == 2
-        if single:
-            g = g[None]
-        det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
-        g /= np.sqrt(det)[..., None, None]
-        if domain is not None:
-            domain.reduce_matrices(g)
-        return PhasePoint(g[0] if single else g)
-
-    def validate(self, atol=1e-9):
-        det = np.linalg.det(self.matrix)
-        if np.any(np.abs(det - 1.0) > atol):
-            raise ModelValidationError(
-                "phase point matrices must have unit determinant"
-            )
 
 
 @dataclass(frozen=True)

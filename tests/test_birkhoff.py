@@ -1,4 +1,4 @@
-"""Extremal Birkhoff averages, window extrapolation, and pathwise averages."""
+"""Extremal Birkhoff averages, window extrapolation, and space averages."""
 import numpy as np
 import pytest
 
@@ -8,18 +8,16 @@ from anosovlab.birkhoff import (
     _fit_limit,
     band_edges,
     band_edges_upto,
-    birkhoff_average,
     space_average,
     window_averages,
 )
 from anosovlab.errors import AnosovLabError, ConfigError
-from anosovlab.flow import flow_map, sample_liouville
 from anosovlab.fuchsian import to_halfplane
 from anosovlab.model import ObservableSpec, PotentialSpec, build_model
 from anosovlab.surface import octagon_area
 
 FAST_PLAN = SamplingPlan(n_orbits=40, windows=(30.0, 60.0), word_length=4,
-                         grid_dt=0.5, seed=3)
+                         seed=3)
 
 
 def test_plan_validation(exact_model):
@@ -79,6 +77,43 @@ def test_exact_edges_are_closed_form(exact_model):
         assert e.gamma_plus_words == -0.5 - k
 
 
+@pytest.mark.parametrize("potential", [
+    PotentialSpec(c0=0.1),
+    PotentialSpec(c0=0.1, c2=0.3),
+    PotentialSpec(c0=-0.37, c1=2.0, c2=0.7),
+])
+def test_exact_edges_are_correctly_rounded(exact_model, potential):
+    # D - k u is the same constant on every orbit, so the edges are the
+    # closed form itself, not an average that rounds differently
+    edges = band_edges_upto(exact_model, potential, 2, FAST_PLAN)
+    for k, e in enumerate(edges):
+        want = potential.c0 + 0.5 * (potential.c2 - 1.0) - k
+        assert e.gamma_minus == want
+        assert e.gamma_plus == want
+        assert e.extrapolation_error == 0.0
+
+
+def test_orbit_averages_at_zero_epsilon():
+    # the midpoint backend at epsilon = 0 runs every orbit and must land on
+    # the constant-curvature closed form -1/2 - k
+    model = build_model(model="conformal_perturbation", epsilon=0.0,
+                        step=0.01, riccati_burn=5.0)
+    plan = SamplingPlan(n_orbits=20, windows=(10.0, 20.0), word_length=4,
+                        max_closed=8, seed=3)
+    edges = band_edges_upto(model, PotentialSpec(), 2, plan)
+    assert edges[0].n_orbits == 28
+    for k, e in enumerate(edges):
+        assert e.gamma_minus == pytest.approx(-0.5 - k, abs=1e-12)
+        assert e.gamma_plus == pytest.approx(-0.5 - k, abs=1e-12)
+
+
+def test_negative_band_index_raises(exact_model):
+    with pytest.raises(ConfigError):
+        band_edges(exact_model, PotentialSpec(), -1, FAST_PLAN)
+    with pytest.raises(ConfigError):
+        band_edges_upto(exact_model, PotentialSpec(), -1, FAST_PLAN)
+
+
 def test_unstable_jacobian_potential_centers_band_zero(exact_model):
     # V = u/2 cancels the damping: band 0 sits on the imaginary axis
     e = band_edges(exact_model, PotentialSpec(c2=1.0), 0, FAST_PLAN)
@@ -115,76 +150,6 @@ def test_single_and_batch_edges_agree(exact_model):
     single = band_edges(exact_model, PotentialSpec(), 1, FAST_PLAN)
     batch = band_edges_upto(exact_model, PotentialSpec(), 1, FAST_PLAN)[1]
     assert single == batch
-
-
-class TestBirkhoffAverage:
-    def test_exact_constant(self, exact_model):
-        out = birkhoff_average(exact_model, ObservableSpec(c_const=2.5),
-                               np.array([1j]), np.array([0.3]), 4.0)
-        assert out[0] == pytest.approx(2.5, abs=1e-12)
-
-    def test_exact_expansion_rate(self, exact_model):
-        out = birkhoff_average(exact_model, ObservableSpec(c_u_half=2.0),
-                               np.array([0.2 + 0.9j]), np.array([1.0]), 3.0)
-        assert out[0] == pytest.approx(1.0, abs=1e-12)
-
-    def test_exact_matches_pointwise_quadrature(self, exact_model):
-        # independent oracle: evaluate f(phi_{-s} x) at the same midpoints
-        spec = ObservableSpec(c_bump=1.0)
-        z0, th0 = np.array([0.3 + 1.1j]), np.array([2.0])
-        t, dt = 3.0, 0.05
-        got = birkhoff_average(exact_model, spec, z0, th0, t, dt=dt)[0]
-        s_mid = np.arange(int(round(t / dt))) * dt + 0.5 * dt
-        vals = []
-        for s in s_mid:
-            zz, th = flow_map(exact_model, z0, th0, -s)
-            from anosovlab.flow import evaluate_observable
-
-            vals.append(evaluate_observable(exact_model, spec, zz, th)[0])
-        assert got == pytest.approx(np.mean(vals), abs=1e-11)
-
-    def test_backends_agree_at_zero_epsilon(self, exact_model):
-        # same dynamics through the Hamiltonian code path
-        limit = build_model(model="conformal_perturbation", epsilon=0.0,
-                            step=0.01)
-        spec = ObservableSpec(c_bump=1.0)
-        z0, th0 = np.array([0.3 + 1.1j, -0.2 + 0.8j]), np.array([2.0, 0.5])
-        a = birkhoff_average(exact_model, spec, z0, th0, 3.0, dt=0.01)
-        b = birkhoff_average(limit, spec, z0, th0, 3.0)
-        np.testing.assert_allclose(a, b, atol=1e-3)
-
-    def test_backward_equals_shifted_forward(self):
-        # the defining identity: average of the past orbit at x equals the
-        # forward average from phi_{-t} x, with u relaxed ahead of the window
-        model = build_model(model="conformal_perturbation", epsilon=0.05,
-                            step=0.01, riccati_burn=5.0)
-        from anosovlab.flow import MidpointEnsemble
-
-        spec = ObservableSpec(c_u_half=2.0, c_bump=0.5)
-        z0, th0 = np.array([0.25 + 1.05j]), np.array([1.3])
-        t = 2.0
-        got = birkhoff_average(model, spec, z0, th0, t)[0]
-        zy, thy = flow_map(model, z0, th0, -(t + model.riccati_burn))
-        ens = MidpointEnsemble(model, zy, theta_h=thy)
-        ens.advance(model.riccati_burn)
-        want = ens.advance(t, observables=[spec])[0, 0] / t
-        assert got == pytest.approx(want, abs=1e-6)
-
-    def test_rejects_bad_times(self, exact_model):
-        with pytest.raises(ConfigError):
-            birkhoff_average(exact_model, ObservableSpec(c_const=1.0),
-                             np.array([1j]), np.array([0.0]), -1.0)
-        with pytest.raises(ConfigError):
-            birkhoff_average(exact_model, ObservableSpec(c_const=1.0),
-                             np.array([1j]), np.array([0.0]), 3.0, dt=0.7)
-
-    def test_callable_observable(self, exact_model):
-        out = birkhoff_average(exact_model, lambda z, th, u: np.imag(z),
-                               np.array([1j]), np.array([0.7]), 2.0)
-        assert np.isfinite(out[0])
-        with pytest.raises(ConfigError):
-            birkhoff_average(exact_model, "not an observable",
-                             np.array([1j]), np.array([0.0]), 2.0)
 
 
 def test_space_average_constant(exact_model):

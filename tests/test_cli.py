@@ -53,6 +53,38 @@ class TestExitCodes:
         assert payload["error"] == "ConfigError"
         assert payload["pipeline"] == "resonances"
 
+    def _error(self, capsys, argv):
+        assert main(argv) == 1
+        return json.loads(capsys.readouterr().err)["error"]
+
+    def test_orbit_dump_keeps_an_explicit_span(self, tmp_path, capsys):
+        # an explicit --t beyond the horizon is an error, not a cap
+        cfg = _cfg(tmp_path, "horizon = 20\n")
+        assert self._error(capsys, [
+            "orbit-dump", "--config", cfg, "--t", "100", "--quiet",
+            "--out", str(tmp_path / "o.csv")]) == "HorizonError"
+
+    def test_orbit_dump_span_must_be_a_multiple_of_dt(self, tmp_path, capsys):
+        cfg = _cfg(tmp_path, "dt = 0.3\n")
+        assert self._error(capsys, [
+            "orbit-dump", "--config", cfg, "--t", "1", "--quiet",
+            "--out", str(tmp_path / "o.csv")]) == "ConfigError"
+
+    def test_negative_band_index(self, tmp_path, capsys):
+        cfg = _cfg(tmp_path, FAST_EDGES)
+        out = tmp_path / "edges.csv"
+        assert self._error(capsys, [
+            "band-edges", "--config", cfg, "--k", "-1", "--quiet",
+            "--out", str(out)]) == "ConfigError"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("raw", [["--raw-mean"], []])
+    def test_shape_observable_on_exact_model(self, tmp_path, capsys, raw):
+        cfg = _cfg(tmp_path, "dt = 0.25\nn_lags = 10\nn_samples = 100\n")
+        assert self._error(capsys, [
+            "correlate", "--config", cfg, "--u", "shape=1", "--v", "shape=1",
+            "--quiet", "--out", str(tmp_path / "s.csv")] + raw) == "ConfigError"
+
     def test_missing_series_exits_one(self, tmp_path, capsys):
         code = main(["invert", "--series", str(tmp_path / "nope.csv"),
                      "--out", str(tmp_path / "m.json")])

@@ -42,6 +42,12 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config_text("no_such_knob = 3")
 
+    def test_removed_grid_dt_key(self):
+        # nothing samples on a grid since the exact band edges became
+        # closed form, so the key is rejected rather than ignored
+        with pytest.raises(ConfigError, match="unknown key 'grid_dt'"):
+            parse_config_text("grid_dt = 0.5")
+
     def test_missing_equals(self):
         with pytest.raises(ConfigError, match="key = value"):
             parse_config_text("epsilon 0.05")

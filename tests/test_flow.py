@@ -227,6 +227,9 @@ def test_evaluate_observable_guards_and_values(exact_model, perturbed_model):
         evaluate_observable(perturbed_model, ObservableSpec(c_u_half=1.0), z)
     with pytest.raises(ValueError):
         evaluate_observable(exact_model, ObservableSpec(c_cos=1.0), z)
+    # the exact model has no shape; the term must not evaluate to zero
+    with pytest.raises(ConfigError, match="shape"):
+        evaluate_observable(exact_model, ObservableSpec(c_shape=1.0), z)
     # u defaults to the exact rate 1 when the model is exact
     out = evaluate_observable(exact_model, ObservableSpec(c_u_half=2.0), z)
     assert out[0] == pytest.approx(1.0)

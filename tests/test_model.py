@@ -1,4 +1,4 @@
-"""Model construction, validation certificates, and phase-point containers."""
+"""Model construction, validation certificates, and observables."""
 import numpy as np
 import pytest
 
@@ -6,7 +6,6 @@ from anosovlab.errors import ConfigError, ModelValidationError
 from anosovlab.model import (
     MODEL_DEFAULTS,
     ObservableSpec,
-    PhasePoint,
     PotentialSpec,
     build_model,
     damping_observable,
@@ -110,35 +109,3 @@ def test_damping_observable_scales_shape(perturbed_model):
 def test_observable_needs_u():
     assert ObservableSpec(c_u_half=1.0).needs_u
     assert not ObservableSpec(c_bump=1.0).needs_u
-
-
-class TestPhasePoint:
-    def test_round_trip(self):
-        z = np.array([0.2 + 1.1j, -0.4 + 0.6j])
-        th = np.array([0.3, 5.1])
-        p = PhasePoint.from_halfplane(z, th)
-        z2, th2 = p.halfplane()
-        np.testing.assert_allclose(z2, z, atol=1e-12)
-        np.testing.assert_allclose(th2, th, atol=1e-12)
-
-    def test_validate(self):
-        p = PhasePoint(np.array([[2.0, 0.0], [0.0, 1.0]]))
-        with pytest.raises(ModelValidationError):
-            p.validate()
-        p.normalized().validate()
-
-    def test_normalized_reduces(self, exact_model):
-        from anosovlab.fuchsian import mobius
-
-        g = exact_model.generators[0]
-        far = mobius(g, 0.1 + 1.2j)
-        p = PhasePoint.from_halfplane(np.array([far]), np.array([1.0]))
-        q = p.normalized(exact_model.domain)
-        z, _ = q.halfplane()
-        assert exact_model.domain.contains(z, tol=1e-9).all()
-
-    def test_reversed(self):
-        p = PhasePoint.from_halfplane(np.array([1j]), np.array([0.25]))
-        z, th = p.reversed().halfplane()
-        assert z[0] == pytest.approx(1j, abs=1e-13)
-        assert th[0] == pytest.approx((0.25 + np.pi) % (2 * np.pi), abs=1e-12)
