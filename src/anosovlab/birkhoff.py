@@ -27,7 +27,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import AnosovLabError, ConfigError
-from .flow import MidpointEnsemble, dual_seeds, evaluate_observable, sample_liouville
+from .flow import dual_seeds, evaluate_observable, make_ensemble, sample_liouville
 from .model import FlowModel, ObservableSpec, PotentialSpec, damping_observable
 
 _U_OBSERVABLE = ObservableSpec(c_u_half=2.0)  # integrand u itself
@@ -119,8 +119,7 @@ def window_averages(model: FlowModel, potential: PotentialSpec,
         d = evaluate_observable(model, damp, z, th, np.ones(len(z)))
         avg_d, avg_u = np.tile(d, (len(plan.windows), 1)), np.ones(shape)
     else:
-        ens = MidpointEnsemble(model, z, theta_h=th)
-        ens.burn_in()
+        ens = make_ensemble(model, z, th).burn_in()
         t_prev = 0.0
         acc = np.zeros((2, len(z)))
         avg_d, avg_u = np.empty(shape), np.empty(shape)
@@ -231,9 +230,7 @@ def space_average(model: FlowModel, f: ObservableSpec, n_samples: int,
     rng = np.random.default_rng(seed)
     z, th = sample_liouville(model, n_samples, rng)
     if f.needs_u and not model.is_exact:
-        ens = MidpointEnsemble(model, z, theta_h=th)
-        ens.burn_in()
-        z, th, u = ens.states()
+        z, th, u = make_ensemble(model, z, th).burn_in().states()
     else:
         u = np.ones(n_samples)
     vals = evaluate_observable(model, f, z, th, u)

@@ -310,9 +310,7 @@ def _run_orbit_dump(manifest, cfg):
     n = _step_count(model, span, dt)
     rng = np.random.default_rng(manifest.seed)
     z, th = sample_liouville(model, 1, rng)
-    ens = make_ensemble(model, z, th)
-    if not model.is_exact:
-        ens.burn_in()
+    ens = make_ensemble(model, z, th).burn_in()
     rows_t, rows_z, rows_th, rows_u, rows_d = [], [], [], [], []
     for i in range(n + 1):
         if i:

@@ -21,13 +21,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import ConfigError, HorizonError
-from .flow import (
-    ExactEnsemble,
-    MidpointEnsemble,
-    _shape,
-    evaluate_observable,
-    sample_liouville,
-)
+from .flow import _shape, evaluate_observable, make_ensemble, sample_liouville
 from .model import FlowModel, ObservableSpec
 
 
@@ -133,6 +127,8 @@ def correlation_series(model: FlowModel, u: ObservableSpec, v: ObservableSpec,
     """
     if n_lags < 2:
         raise ConfigError("n_lags must be at least 2")
+    if n_samples < 1:
+        raise ConfigError("n_samples must be at least 1")
     if not dt > 0:
         raise ConfigError("dt must be positive")
     span = dt * (n_lags - 1)
@@ -178,28 +174,19 @@ def correlation_series(model: FlowModel, u: ObservableSpec, v: ObservableSpec,
 
 def _accumulate_backward(model, u, v, z, th, dt, n_lags, s1, s2) -> None:
     """Stream lags along the backward orbit of each sample point."""
-    if model.is_exact:
-        ens = ExactEnsemble.from_states(model, z, th)
-    else:
-        ens = MidpointEnsemble(model, z, theta_h=th, h=-model.step)
-    zz, tth, uval = ens.states()
-    u_here = uval if model.is_exact else None
-    u0 = evaluate_observable(model, u, zz, tth, u_here)
+    ens = make_ensemble(model, z, th, reverse=True)
+    u0 = evaluate_observable(model, u, *ens.states())
     for lag in range(n_lags):
         if lag > 0:
             ens.advance(-dt)
-        zz, tth, uval = ens.states()
-        w = u0 * evaluate_observable(
-            model, v, zz, tth, uval if model.is_exact else None
-        )
+        w = u0 * evaluate_observable(model, v, *ens.states())
         s1[lag] += w.sum()
         s2[lag] += np.square(w).sum()
 
 
 def _accumulate_forward(model, u, v, z, th, dt, n_lags, s1, s2) -> None:
     """Forward route storing v along the orbit; needed when v uses u."""
-    ens = MidpointEnsemble(model, z, theta_h=th)
-    ens.burn_in()
+    ens = make_ensemble(model, z, th).burn_in()
     vals = np.empty((n_lags, len(z)))
     for j in range(n_lags):
         if j > 0:

@@ -1,6 +1,8 @@
 """Time evolution, unstable expansion rates, and flow-level certificates.
 
-Two interchangeable backends move ensembles of unit (co)tangent vectors:
+Two interchangeable backends move ensembles of unit (co)tangent vectors;
+``make_ensemble`` picks one by model kind, and callers use only the contract
+the two share (``advance``, ``burn_in``, ``states``):
 
 * ``ExactEnsemble`` (constant curvature only): states are unit-determinant
   matrices, the flow is right multiplication by diag(e^{t/2}, e^{-t/2}),
@@ -146,37 +148,37 @@ class ExactEnsemble:
         z = matrix_base_point(self.g)
         return z, matrix_angle_hp(self.g), np.ones(len(self.g))
 
-    def advance(self, t: float):
-        """Jump by time t (exact), reduce, and renormalise determinants."""
-        if abs(t) > self.model.horizon:
-            raise HorizonError("|t| = %g exceeds the configured horizon %g"
-                               % (abs(t), self.model.horizon))
-        e = np.exp(0.5 * t)
+    def advance(self, T: float, observables: Sequence[ObservableSpec] = ()):
+        """One exact jump by T; with observables, T is a nonnegative multiple
+        of the model step, and each step samples them once, at its midpoint."""
+        if observables:
+            h = self.model.step
+            totals = np.zeros((len(observables), self.n))
+            for _ in range(_step_count(self.model, T, h)):
+                self.advance(0.5 * h)
+                z, th, u = self.states()
+                for i, spec in enumerate(observables):
+                    totals[i] += evaluate_observable(self.model, spec, z, th, u)
+                self.advance(0.5 * h)
+            return totals * h
+        if abs(T) > self.model.horizon:
+            raise HorizonError("|T| = %g exceeds the configured horizon %g"
+                               % (abs(T), self.model.horizon))
+        e = np.exp(0.5 * T)
         self.g[..., 0] *= e
         self.g[..., 1] /= e
         self.model.domain.reduce_matrices(self.g)
         det = (self.g[..., 0, 0] * self.g[..., 1, 1]
                - self.g[..., 0, 1] * self.g[..., 1, 0])
         self.g /= np.sqrt(det)[..., None, None]
-        self.t += t
+        self.t += T
+        return np.zeros((0, self.n))
 
-    def observe(self, spec: ObservableSpec):
-        z, th, u = self.states()
-        return evaluate_observable(self.model, spec, z, th, u)
+    advance_integrating = advance  # the name acceptance criterion 9 calls
 
-    def advance_integrating(self, T: float, observables: Sequence[ObservableSpec],
-                            dt: Optional[float] = None):
-        """Integrals of observables along [0, T] by midpoint sampling."""
-        dt = self.model.step if dt is None else float(dt)
-        n_steps = _step_count(self.model, T, dt)
-        totals = np.zeros((len(observables), self.n))
-        for _ in range(n_steps):
-            self.advance(0.5 * dt)
-            z, th, u = self.states()
-            for i, spec in enumerate(observables):
-                totals[i] += evaluate_observable(self.model, spec, z, th, u)
-            self.advance(0.5 * dt)
-        return totals * dt
+    def burn_in(self):
+        """u = 1 is already the unstable solution; nothing to relax."""
+        return self
 
 
 class MidpointEnsemble:
@@ -215,18 +217,14 @@ class MidpointEnsemble:
         return len(self.z)
 
     def states(self):
-        theta = np.angle(self.xi)
-        return self.z, theta, self.u
+        """(z, theta_h, u); a reverse ensemble (h < 0) never transports u."""
+        return self.z, np.angle(self.xi), self.u if self.h > 0.0 else None
 
     def energy(self):
         psi = self.model.psi(self.z)
         y = self.z.imag
         s = (self.xi * np.conj(self.xi)).real
         return 0.5 * np.exp(-2.0 * psi) * y * y * s
-
-    def observe(self, spec: ObservableSpec):
-        z, th, u = self.states()
-        return evaluate_observable(self.model, spec, z, th, u)
 
     def _force(self, z, xi, curvature, centers):
         """Hamiltonian vector field at (z, xi), plus the Gauss curvature there
@@ -273,7 +271,7 @@ class MidpointEnsemble:
                     "hyperbolic at this step size" % (_RICCATI_CAP, _RICCATI_CAP)
                 )
         else:
-            umid = self.u
+            umid = None
         self.z, self.xi, rounds = self.model.domain.reduce_points(self.z, self.xi)
         if rounds >= 16:
             raise StepSizeError(
@@ -303,34 +301,31 @@ class MidpointEnsemble:
                 record(self)
         return totals * self.h
 
-    def burn_in(self, T: Optional[float] = None):
+    def burn_in(self):
         """Relax the Riccati variable onto the unstable solution.
 
         Shifts the ensemble forward by the burn-in time; by invariance of the
         sampling measure the shifted ensemble is an equally valid sample.
         """
-        self.advance(self.model.riccati_burn if T is None else T)
+        self.advance(self.model.riccati_burn)
         return self
 
 
-def make_ensemble(model: FlowModel, z, theta_h, u=None):
-    """The natural backend for the model kind, seeded at (z, theta)."""
+def make_ensemble(model: FlowModel, z, theta_h, reverse: bool = False):
+    """The backend for the model kind, seeded at (z, theta); a reverse one
+    steps back in time, and ``advance`` then takes negative T."""
     if model.is_exact:
         return ExactEnsemble.from_states(model, z, theta_h)
-    return MidpointEnsemble(model, z, theta_h=theta_h, u=u)
+    return MidpointEnsemble(model, z, theta_h=theta_h,
+                            h=-model.step if reverse else None)
 
 
 def flow_map(model: FlowModel, z, theta_h, t: float):
     """Advance states by a signed time t and return (z, theta_h), reduced."""
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     theta_h = np.atleast_1d(np.asarray(theta_h, dtype=float))
-    if model.is_exact:
-        ens = ExactEnsemble.from_states(model, z, theta_h)
-        ens.advance(t)
-    else:
-        h = model.step if t >= 0 else -model.step
-        ens = MidpointEnsemble(model, z, theta_h=theta_h, h=h)
-        ens.advance(t)
+    ens = make_ensemble(model, z, theta_h, reverse=t < 0)
+    ens.advance(t)
     zz, th, _ = ens.states()
     return zz, np.mod(th, 2.0 * np.pi)
 
@@ -428,14 +423,14 @@ def verify_anosov(model: FlowModel, n_samples: int = 200, t_check: float = 60.0,
         # acts point by point, so each half evolves exactly as it would alone.
         theta = [np.mod(th + direction, 2.0 * np.pi)
                  for direction in (0.0, np.pi)]
-        ens = MidpointEnsemble(model, np.concatenate([z, z]),
-                               theta_h=np.concatenate(theta))
-        ens.burn_in()
+        ens = make_ensemble(model, np.concatenate([z, z]),
+                            np.concatenate(theta)).burn_in()
         spec = ObservableSpec(c_u_half=2.0)  # integrand u
         total = ens.advance(t_check, observables=[spec])[0]
+        u = ens.states()[2]
         halves = (slice(None, len(z)), slice(len(z), None))
         rates = [float(np.min(total[half]) / t_check) for half in halves]
-        extremes = [(float(ens.u[half].min()), float(ens.u[half].max()))
+        extremes = [(float(u[half].min()), float(u[half].max()))
                     for half in halves]
 
     alpha_err, nondeg = contact_check(model)

@@ -118,6 +118,8 @@ def weyl_count(resonances: ResonanceList, k: int, b: float,
     """
     if b <= 0:
         raise ConfigError("b must be positive")
+    if k < 0:
+        raise ConfigError("band index must be nonnegative, got %d" % k)
     band = resonances.band_entries(k)
     im = np.array([r.im for r in band], dtype=float)
     count = _window_count(im, b, eps_exponent)

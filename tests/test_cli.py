@@ -78,6 +78,25 @@ class TestExitCodes:
             "--out", str(out)]) == "ConfigError"
         assert not out.exists()
 
+    def test_weyl_negative_band_index(self, tmp_path, capsys):
+        res = tmp_path / "r.json"
+        assert main(["resonances", "--out", str(res), "--quiet"]) == 0
+        out = tmp_path / "weyl.csv"
+        assert self._error(capsys, [
+            "weyl", "--resonances", str(res), "--k", "-1", "--quiet",
+            "--out", str(out)]) == "ConfigError"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n_samples", [0, -5])
+    def test_correlate_needs_samples(self, tmp_path, capsys, n_samples):
+        cfg = _cfg(tmp_path, "dt = 0.25\nn_lags = 4\nn_samples = %d\n"
+                   % n_samples)
+        out = tmp_path / "s.csv"
+        assert self._error(capsys, [
+            "correlate", "--config", cfg, "--u", "bump=1", "--v", "bump=1",
+            "--quiet", "--out", str(out)]) == "ConfigError"
+        assert not out.exists()
+
     @pytest.mark.parametrize("raw", [["--raw-mean"], []])
     def test_shape_observable_on_exact_model(self, tmp_path, capsys, raw):
         cfg = _cfg(tmp_path, "dt = 0.25\nn_lags = 10\nn_samples = 100\n")

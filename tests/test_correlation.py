@@ -105,6 +105,13 @@ class TestCorrelationSeriesEstimator:
         assert c0 > 0.0
         assert abs(series.values[-1]) < 0.2 * c0
 
+    @pytest.mark.parametrize("n_samples", [0, -5])
+    def test_rejects_an_empty_sample(self, exact_model, n_samples):
+        spec = ObservableSpec(c_bump=1.0)
+        with pytest.raises(ConfigError, match="n_samples"):
+            correlation_series(exact_model, spec, spec, dt=0.25, n_lags=4,
+                               n_samples=n_samples)
+
     def test_deterministic_for_fixed_seed(self, exact_model):
         spec = ObservableSpec(c_cos=1.0, c_bump=0.5)
         a = correlation_series(exact_model, spec, spec, dt=0.5, n_lags=5,

@@ -162,7 +162,7 @@ def test_riccati_residual_fine(perturbed_fine):
     assert resid.max() < 1e-6
 
 
-def test_advance_integrals_are_additive(exact_model, perturbed_model):
+def test_advance_integrals_are_additive(perturbed_model):
     spec = ObservableSpec(c_u_half=2.0)
     rng = np.random.default_rng(67)
 
@@ -177,14 +177,40 @@ def test_advance_integrals_are_additive(exact_model, perturbed_model):
     total = whole.advance(3.0, observables=[spec])
     np.testing.assert_allclose(part, total, rtol=1e-13)
 
-    z, th = sample_liouville(exact_model, 10, rng)
-    a = ExactEnsemble.from_states(exact_model, z, th)
-    pa = a.advance_integrating(1.0, [spec], dt=0.25) + a.advance_integrating(
-        2.0, [spec], dt=0.25
-    )
-    b = ExactEnsemble.from_states(exact_model, z, th)
-    np.testing.assert_allclose(pa, b.advance_integrating(3.0, [spec], dt=0.25),
-                               rtol=1e-13)
+
+@pytest.mark.parametrize("fixture", ["exact_model", "perturbed_model"])
+def test_ensemble_contract(fixture, request):
+    # both backends, built by make_ensemble, answer the same calls
+    model = request.getfixturevalue(fixture)
+    if model.is_exact:
+        model = build_model(model="constant_curvature", step=0.25)
+    else:
+        model = dataclasses.replace(model, riccati_burn=1.0)
+    spec = ObservableSpec(c_u_half=2.0, c_cos=0.5)
+    z, th = sample_liouville(model, 10, np.random.default_rng(67))
+    ens = make_ensemble(model, z, th)
+    assert ens.burn_in() is ens
+    fresh = make_ensemble(model, z, th).burn_in()
+    part = ens.advance(1.0, [spec]) + ens.advance(2.0, [spec])
+    total = fresh.advance(3.0, [spec])
+    assert total.shape == (1, 10)
+    np.testing.assert_allclose(part, total, rtol=1e-13)
+    assert ens.advance(0.5).shape == (0, 10)
+
+    back = make_ensemble(model, z, th, reverse=True)
+    back.advance(-0.5)
+    zb, thb, ub = back.states()
+    assert zb.shape == thb.shape == (10,)
+    if model.is_exact:
+        np.testing.assert_array_equal(ub, 1.0)
+    else:
+        # u is never integrated backwards, so a reverse ensemble has none
+        assert ub is None
+        with pytest.raises(ValueError):
+            evaluate_observable(model, ObservableSpec(c_u_half=1.0),
+                                *back.states())
+        with pytest.raises(ValueError):
+            back.advance(-0.5, [spec])
 
 
 def test_guards(exact_model, perturbed_model):
@@ -217,7 +243,7 @@ def test_advance_integrating_checks_the_horizon(exact_model):
     # every half-step lies inside the horizon of 500; the total does not
     ens = ExactEnsemble.from_states(exact_model, np.array([1j]), np.array([0.0]))
     with pytest.raises(HorizonError):
-        ens.advance_integrating(1000.0, [ObservableSpec(c_const=1.0)], dt=0.5)
+        ens.advance_integrating(1000.0, [ObservableSpec(c_const=1.0)])
     assert ens.t == 0.0
 
 

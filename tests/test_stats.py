@@ -138,6 +138,11 @@ class TestWeylCount:
         with pytest.raises(ConfigError):
             weyl_count(entries, k=0, b=0.0)
 
+    def test_rejects_negative_band_index(self):
+        entries = _inverted([(-0.5, im) for im in (6.0, 7.0, 8.0)], 0)
+        with pytest.raises(ConfigError, match="band index"):
+            weyl_count(entries, k=-1, b=5.0)
+
 
 class TestConcentration:
     def test_zero_on_analytic_catalog(self):
