@@ -146,7 +146,7 @@ def _default_v():
 
 def _run_correlate(manifest, cfg):
     from .config import parse_observable
-    from .correlation import correlation_series, mean_zero
+    from .correlation import correlation_series, mean_zero, orbit_plan
     from .tableio import write_metadata, write_series
 
     model = _model(cfg)
@@ -164,28 +164,37 @@ def _run_correlate(manifest, cfg):
         n_samples=cfg.get("n_samples", 100000),
         seed=manifest.seed,
     )
+    n_orbits, stride, length = orbit_plan(len(series), series.n_samples)
     write_series(manifest.out, series)
     write_metadata(manifest.out, manifest.seed, manifest.config,
-                   extra={"n_samples": series.n_samples,
+                   extra={"n_samples": series.n_samples, "n_orbits": n_orbits,
+                          "stride": stride, "orbit_length": length,
                           "volume": series.volume})
     _say(manifest, "series of %d lags, C(0) = %.6g" % (
         len(series), series.values[0]))
 
 
 def _run_invert(manifest, cfg):
+    import numpy as np
+
     from .inversion import harmonic_inversion
     from .tableio import read_series, write_metadata, write_modes
 
     series = read_series(manifest.options["series"])
-    modes = harmonic_inversion(
+    found = harmonic_inversion(
         series,
         max_modes=_option(manifest, "max_modes", cfg, "max_modes", 12),
         sv_threshold=_option(manifest, "sv_threshold", cfg, "sv_threshold",
                              1e-3),
     )
+    # modes at or below the series' noise floor are not resolved
+    floor = 5.0 * float(np.median(series.stderr))
+    modes = found.significant(floor)
     write_modes(manifest.out, modes)
     write_metadata(manifest.out, manifest.seed, manifest.config,
-                   extra={"n_modes": len(modes), "residual": modes.residual})
+                   extra={"n_modes": len(modes), "residual": modes.residual,
+                          "noise_floor": floor,
+                          "n_dropped": len(found) - len(modes)})
     _say(manifest, "%d modes, residual %.3g" % (len(modes), modes.residual))
 
 

@@ -1,16 +1,15 @@
-"""Dynamical correlation functions by Liouville Monte Carlo.
+"""Dynamical correlation functions by time-averaged Liouville Monte Carlo.
 
-C_{u,v}(t) = int_M u (v o phi_{-t}) dx is estimated as
-
-    C(t_m) ~= (Vol(M)/n) sum_i u(p_i) v(phi_{-t_m} p_i),
-
-with p_i sampled from the invariant probability measure.  Because the
-measure is flow-invariant, the whole lag grid reuses one trajectory per
-sample: the backward orbit of p_i visits exactly the points phi_{-t_m} p_i,
-so the estimator streams over backward grid steps with O(1) memory per lag.
-When v involves the expansion rate on a perturbed model (whose cocycle must
-never be integrated backwards) the orbit is instead run forwards from a
-burn-in and u is read off at the far end.
+C_{u,v}(t) = int_M u (v o phi_{-t}) dx.  The volume is flow-invariant, so
+C(t_m) = Vol(M) E[u(phi_{s + t_m} p) v(phi_s p)] for every shift s, and
+every point of one forward orbit serves as a start point.  N Liouville
+seeds p_k start N independent orbits sampled on the grid j dt, j < L; for
+each lag m the orbit's mean over the start points i <= L - n_lags comes
+from one zero-padded real FFT cross-correlation, and the standard error is
+the batch-means error across the N orbits (Flyvbjerg and Petersen, J. Chem.
+Phys. 91, 461 (1989)).  The orbits only run forwards, after a burn-in when
+u or v needs the expansion rate, so a perturbed model's cocycle is never
+integrated backwards.
 """
 from __future__ import annotations
 
@@ -112,8 +111,11 @@ def mean_zero(model: FlowModel, spec: ObservableSpec, **kwargs) -> ObservableSpe
     return dataclasses.replace(spec, c_const=spec.c_const - m)
 
 
-def _chunk_size(n_lags: int) -> int:
-    return max(1, int(8_000_000 // max(n_lags, 1)))
+def orbit_plan(n_lags: int, n_samples: int) -> Tuple[int, int, int]:
+    """(n_orbits, stride s, orbit length L): each orbit counts 20 start points
+    s = ceil(n_lags / 20) grid steps apart, and the points between them too."""
+    stride = -(-n_lags // 20)
+    return max(2, -(-n_samples // 20)), stride, n_lags + 19 * stride
 
 
 def correlation_series(model: FlowModel, u: ObservableSpec, v: ObservableSpec,
@@ -122,8 +124,8 @@ def correlation_series(model: FlowModel, u: ObservableSpec, v: ObservableSpec,
                        chunk: Optional[int] = None) -> CorrelationSeries:
     """Monte Carlo estimate of C_{u,v} on the lag grid m dt, m < n_lags.
 
-    One trajectory per sample covers every lag; per-lag standard errors come
-    from the running first and second moments across samples.
+    ``n_samples`` counts Liouville start points per lag, 20 to an orbit (see
+    ``orbit_plan``); ``chunk`` is the number of orbits held at once.
     """
     if n_lags < 2:
         raise ConfigError("n_lags must be at least 2")
@@ -131,70 +133,56 @@ def correlation_series(model: FlowModel, u: ObservableSpec, v: ObservableSpec,
         raise ConfigError("n_samples must be at least 1")
     if not dt > 0:
         raise ConfigError("dt must be positive")
-    span = dt * (n_lags - 1)
-    if span > model.horizon:
+    n_orbits, _, length = orbit_plan(n_lags, n_samples)
+    if dt * (length - 1) > model.horizon:
         raise HorizonError(
-            "lag grid spans %.3g time units, beyond the horizon %.3g"
-            % (span, model.horizon)
-        )
+            "lag grid spans %g time units and its orbits %g, beyond the horizon "
+            "%g" % (dt * (n_lags - 1), dt * (length - 1), model.horizon))
     if not model.is_exact:
         n_sub = round(dt / model.step)
         if n_sub < 1 or abs(n_sub * model.step - dt) > 1e-9:
             raise ConfigError("dt must be a positive multiple of the model step")
     vol = 2.0 * np.pi * model.area
-    rng = np.random.default_rng(seed)
-    chunk = int(chunk or _chunk_size(n_lags))
-    s1 = np.zeros(n_lags)
-    s2 = np.zeros(n_lags)
-    backward_ok = model.is_exact or not (u.needs_u or v.needs_u)
+    z, th = sample_liouville(model, n_orbits, np.random.default_rng(seed))
+    chunk = max(2, 1_000_000 // length) if chunk is None else int(chunk)
+    if chunk < 1:
+        raise ConfigError("chunk must be at least 1 orbit")
+    # lag means shifted by the first orbit's keep the variance's digits; FFTs
+    # over 64 kB of samples at a time keep their temporaries off the peak RSS
+    group = max(1, 8_192 // length)
+    s1 = s2 = ref = None
+    for lo in range(0, n_orbits, chunk):
+        ens = make_ensemble(model, z[lo:lo + chunk], th[lo:lo + chunk])
+        if u.needs_u or v.needs_u:
+            ens.burn_in()
+        a = np.empty((length, ens.n))
+        b = a if u == v else np.empty_like(a)
+        for j in range(length):
+            if j > 0:
+                ens.advance(dt)
+            states = ens.states()
+            a[j] = evaluate_observable(model, u, *states)
+            if b is not a:
+                b[j] = evaluate_observable(model, v, *states)
+        for k in range(0, ens.n, group):
+            means = _lag_means(a[:, k:k + group], b[:, k:k + group], n_lags)
+            if ref is None:
+                ref, s1, s2 = means[:, :1], 0.0, 0.0
+            s1 = s1 + (means - ref).sum(axis=1)
+            s2 = s2 + np.square(means - ref).sum(axis=1)
 
-    done = 0
-    while done < n_samples:
-        m = min(chunk, n_samples - done)
-        z, th = sample_liouville(model, m, rng)
-        if backward_ok:
-            _accumulate_backward(model, u, v, z, th, dt, n_lags, s1, s2)
-        else:
-            _accumulate_forward(model, u, v, z, th, dt, n_lags, s1, s2)
-        done += m
-
-    mean = s1 / n_samples
-    var = np.maximum(s2 / n_samples - mean ** 2, 0.0)
-    stderr = np.sqrt(var / max(n_samples - 1, 1))
-    return CorrelationSeries(
-        dt=dt,
-        values=vol * mean,
-        stderr=vol * stderr,
-        u=u,
-        v=v,
-        n_samples=n_samples,
-        volume=vol,
-    )
-
-
-def _accumulate_backward(model, u, v, z, th, dt, n_lags, s1, s2) -> None:
-    """Stream lags along the backward orbit of each sample point."""
-    ens = make_ensemble(model, z, th, reverse=True)
-    u0 = evaluate_observable(model, u, *ens.states())
-    for lag in range(n_lags):
-        if lag > 0:
-            ens.advance(-dt)
-        w = u0 * evaluate_observable(model, v, *ens.states())
-        s1[lag] += w.sum()
-        s2[lag] += np.square(w).sum()
+    mean = s1 / n_orbits
+    var = np.maximum(s2 / n_orbits - mean ** 2, 0.0)
+    return CorrelationSeries(dt=dt, values=vol * (ref[:, 0] + mean),
+                             stderr=vol * np.sqrt(var / (n_orbits - 1)),
+                             u=u, v=v, n_samples=n_samples, volume=vol)
 
 
-def _accumulate_forward(model, u, v, z, th, dt, n_lags, s1, s2) -> None:
-    """Forward route storing v along the orbit; needed when v uses u."""
-    ens = make_ensemble(model, z, th).burn_in()
-    vals = np.empty((n_lags, len(z)))
-    for j in range(n_lags):
-        if j > 0:
-            ens.advance(dt)
-        zz, tth, uval = ens.states()
-        vals[j] = evaluate_observable(model, v, zz, tth, uval)
-    u_end = evaluate_observable(model, u, zz, tth, uval)
-    for lag in range(n_lags):
-        w = u_end * vals[n_lags - 1 - lag]
-        s1[lag] += w.sum()
-        s2[lag] += np.square(w).sum()
+def _lag_means(a: np.ndarray, b: np.ndarray, n_lags: int) -> np.ndarray:
+    """Per-orbit (column) means of a[i + m] b[i] over i <= L - n_lags, for
+    m < n_lags; b cut to those start points and zero-padded back to L keeps
+    the circular cross-correlation of length L from wrapping."""
+    n_starts = len(a) - n_lags + 1
+    fa = np.fft.rfft(a, axis=0)
+    fb = np.fft.rfft(b[:n_starts], n=len(a), axis=0)
+    return np.fft.irfft(fa * np.conj(fb), n=len(a), axis=0)[:n_lags] / n_starts

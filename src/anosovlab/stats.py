@@ -54,6 +54,8 @@ def band_membership(resonances: ResonanceList, edges: Sequence[BandEdges],
     flagged ambiguous, hits in none are violations, and low-frequency
     entries (the "finitely many exceptions" regime) are set aside.
     """
+    if eps < 0.0:
+        raise ConfigError("band enlargement eps must be nonnegative")
     edges = sorted(edges, key=lambda e: e.k)
     if [e.k for e in edges] != list(range(len(edges))):
         raise ConfigError("edges must cover k = 0..k_max without gaps")

@@ -87,6 +87,23 @@ class TestExitCodes:
             "--out", str(out)]) == "ConfigError"
         assert not out.exists()
 
+    def test_bands_negative_enlargement(self, tmp_path, capsys):
+        from anosovlab.birkhoff import BandEdges
+        from anosovlab.tableio import write_band_edges
+
+        res = tmp_path / "r.json"
+        assert main(["resonances", "--out", str(res), "--quiet"]) == 0
+        edges = tmp_path / "edges.csv"
+        write_band_edges(edges, [BandEdges(
+            k=0, gamma_minus=-0.6, gamma_plus=-0.4, horizon=10.0,
+            n_orbits=1, extrapolation_error=0.0)])
+        cfg = _cfg(tmp_path, "band_eps = -1\n")
+        out = tmp_path / "bands.csv"
+        assert self._error(capsys, [
+            "bands", "--config", cfg, "--resonances", str(res),
+            "--edges", str(edges), "--quiet", "--out", str(out)]) == "ConfigError"
+        assert not out.exists()
+
     @pytest.mark.parametrize("n_samples", [0, -5])
     def test_correlate_needs_samples(self, tmp_path, capsys, n_samples):
         cfg = _cfg(tmp_path, "dt = 0.25\nn_lags = 4\nn_samples = %d\n"
@@ -148,6 +165,52 @@ class TestArtifacts:
         assert np.all(zs.real < 0.0)
         # inverted output remains closed under conjugation
         assert modes.conjugation_defect() == 0.0
+
+    def test_correlate_records_the_orbit_plan(self, tmp_path):
+        cfg = _cfg(tmp_path, "dt = 0.25\nn_lags = 30\nn_samples = 100\n")
+        out = tmp_path / "series.csv"
+        assert main(["correlate", "--config", cfg, "--quiet",
+                     "--u", "cos=1", "--v", "cos=1", "--out", str(out)]) == 0
+        meta = read_json(sidecar_path(out))
+        assert (meta["n_samples"], meta["n_orbits"], meta["stride"],
+                meta["orbit_length"]) == (100, 5, 2, 68)
+
+    def test_invert_drops_modes_below_the_noise_floor(self, tmp_path):
+        # at this seed the unfiltered inversion returns a growing mode whose
+        # amplitude lies far below 5 median(stderr) of the series
+        cfg = _cfg(tmp_path, "dt = 0.25\nn_lags = 120\nn_samples = 4000\n")
+        series_path = tmp_path / "series.csv"
+        assert main(["correlate", "--config", cfg, "--quiet", "--seed", "1",
+                     "--u", "cos=1", "--v", "cos=1",
+                     "--out", str(series_path)]) == 0
+        modes_path = tmp_path / "modes.json"
+        assert main(["invert", "--series", str(series_path), "--seed", "1",
+                     "--max-modes", "4", "--quiet",
+                     "--out", str(modes_path)]) == 0
+        zs = read_resonances(modes_path).zs()
+        assert len(zs) >= 1
+        assert np.all(zs.real < 0.0)
+        meta = read_json(sidecar_path(modes_path))
+        floor = 5.0 * np.median(read_series(series_path).stderr)
+        assert meta["noise_floor"] == pytest.approx(floor, rel=1e-12)
+        assert meta["n_modes"] == len(zs)
+        assert meta["n_modes"] + meta["n_dropped"] <= 4
+
+    def test_invert_keeps_every_mode_without_noise(self, tmp_path):
+        from anosovlab.correlation import CorrelationSeries
+        from anosovlab.tableio import write_series
+
+        t = 0.1 * np.arange(200)
+        series = tmp_path / "series.csv"
+        write_series(series, CorrelationSeries.from_values(
+            0.1, np.exp(-0.5 * t) * np.cos(t) + 0.2 * np.exp(-2.0 * t)))
+        out = tmp_path / "modes.json"
+        assert main(["invert", "--series", str(series), "--max-modes", "4",
+                     "--quiet", "--out", str(out)]) == 0
+        meta = read_json(sidecar_path(out))
+        assert meta["noise_floor"] == 0.0
+        assert meta["n_dropped"] == 0
+        assert meta["n_modes"] == len(read_resonances(out).zs()) == 3
 
     def test_weyl_artifact(self, tmp_path):
         res = tmp_path / "r.json"

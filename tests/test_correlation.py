@@ -4,12 +4,13 @@ import pytest
 
 from anosovlab.correlation import (
     CorrelationSeries,
+    _lag_means,
     correlation_series,
     mean_zero,
     observable_mean,
 )
 from anosovlab.errors import ConfigError, HorizonError
-from anosovlab.flow import evaluate_observable, sample_liouville
+from anosovlab.flow import evaluate_observable, make_ensemble, sample_liouville
 from anosovlab.model import ObservableSpec, build_model
 from anosovlab.surface import octagon_area
 
@@ -122,16 +123,20 @@ class TestCorrelationSeriesEstimator:
         assert np.array_equal(a.stderr, b.stderr)
 
     def test_chunking_agrees_statistically(self, exact_model):
-        # chunked draws consume the RNG stream in a different order, so the
-        # two estimates are independent samples of the same quantity
+        # every seed is drawn before the first block of orbits, so blocks of
+        # 1000 and of 300 orbits regroup the same sums
         spec = ObservableSpec(c_cos=1.0)
         a = correlation_series(exact_model, spec, spec, dt=0.5, n_lags=5,
-                               n_samples=20000, seed=9, chunk=20000)
+                               n_samples=20000, seed=9, chunk=1000)
         b = correlation_series(exact_model, spec, spec, dt=0.5, n_lags=5,
-                               n_samples=20000, seed=9, chunk=4096)
+                               n_samples=20000, seed=9, chunk=300)
         gap = np.abs(a.values - b.values)
-        tol = 6.0 * np.hypot(a.stderr, b.stderr)
-        assert np.all(gap < tol)
+        assert np.all(gap < 6.0 * np.hypot(a.stderr, b.stderr))
+        assert np.allclose(a.values, b.values, rtol=0.0, atol=1e-12 * a.volume)
+        assert np.allclose(a.stderr, b.stderr, rtol=1e-9)
+        with pytest.raises(ConfigError, match="chunk"):
+            correlation_series(exact_model, spec, spec, dt=0.5, n_lags=5,
+                               n_samples=20000, seed=9, chunk=0)
 
     def test_forward_route_on_stationary_expansion(self):
         # epsilon = 0 keeps curvature at -1, so after burn-in the expansion
@@ -161,6 +166,14 @@ class TestCorrelationSeriesEstimator:
             correlation_series(exact_model, spec, spec, dt=10.0, n_lags=100,
                                n_samples=10)
 
+    def test_horizon_covers_the_orbit_span(self, exact_model):
+        # lags span 299.5 of the horizon 500, but each orbit runs
+        # (600 + 19 * 30 - 1) * 0.5 = 584.5 time units
+        spec = ObservableSpec(c_const=1.0)
+        with pytest.raises(HorizonError, match=r"299\.5.*584\.5.*500"):
+            correlation_series(exact_model, spec, spec, dt=0.5, n_lags=600,
+                               n_samples=10)
+
     def test_rejects_incommensurate_dt(self, perturbed_model):
         spec = ObservableSpec(c_const=1.0)
         with pytest.raises(ConfigError):
@@ -172,3 +185,59 @@ class TestCorrelationSeriesEstimator:
         with pytest.raises(ConfigError):
             correlation_series(exact_model, spec, spec, dt=0.1, n_lags=1,
                                n_samples=10)
+
+
+def _per_start_reference(model, u, v, dt, n_lags, n_samples, seed):
+    """The per-start estimator the time average replaced: each Liouville
+    point flows back through every lag and serves once per lag."""
+    z, th = sample_liouville(model, n_samples, np.random.default_rng(seed))
+    ens = make_ensemble(model, z, th, reverse=True)
+    u0 = evaluate_observable(model, u, *ens.states())
+    w = np.empty((n_lags, n_samples))
+    for lag in range(n_lags):
+        if lag > 0:
+            ens.advance(-dt)
+        w[lag] = u0 * evaluate_observable(model, v, *ens.states())
+    vol = 2.0 * np.pi * model.area
+    return vol * w.mean(axis=1), vol * w.std(axis=1, ddof=1) / np.sqrt(n_samples)
+
+
+class TestTimeAveragedEstimator:
+    """The FFT lag sums, the batch-means stderr, and the per-start reference."""
+
+    def test_fft_lag_means_match_direct_loop(self):
+        rng = np.random.default_rng(0)
+        a, b = rng.normal(size=(2, 37, 3))
+        n_lags = 11
+        n_starts = 37 - n_lags + 1
+        for x, y in ((a, b), (a, a)):
+            direct = np.array([[sum(x[i + m, k] * y[i, k]
+                                    for i in range(n_starts))
+                                for k in range(3)] for m in range(n_lags)])
+            assert np.allclose(_lag_means(x, y, n_lags), direct / n_starts,
+                               rtol=0.0, atol=1e-12)
+
+    @pytest.fixture
+    def bump(self, exact_model):
+        # the benchmark's correlation observable
+        return mean_zero(exact_model,
+                         ObservableSpec(c_bump=1.0, bump_sigma=0.6))
+
+    def test_stderr_is_calibrated(self, exact_model, bump):
+        # criterion 7's noise floor is built from stderr, so it must match
+        # the spread over independent seeds, lag by lag
+        runs = [correlation_series(exact_model, bump, bump, dt=0.2,
+                                   n_lags=500, n_samples=2000, seed=seed)
+                for seed in range(16)]
+        values = np.array([r.values for r in runs])
+        stderr = np.array([r.stderr for r in runs])
+        z = (values - values.mean(axis=0)) / stderr
+        assert 0.85 <= z.std() <= 1.15
+
+    @pytest.mark.parametrize("seed", [1, 4242])
+    def test_agrees_with_per_start_reference(self, exact_model, bump, seed):
+        kw = dict(dt=0.2, n_lags=500, n_samples=4000, seed=seed)
+        series = correlation_series(exact_model, bump, bump, **kw)
+        ref, ref_err = _per_start_reference(exact_model, bump, bump, **kw)
+        gap = np.abs(series.values - ref)
+        assert np.all(gap < 6.0 * np.hypot(series.stderr, ref_err))

@@ -82,6 +82,12 @@ class TestBandMembership:
             band_membership(entries, [_edges(0, -0.5, -0.5),
                                       _edges(2, -2.5, -2.5)])
 
+    def test_rejects_negative_enlargement(self):
+        # a negative eps empties every enlarged interval [g- - eps, g+ + eps]
+        entries = _inverted([(-0.5, 10.0)])
+        with pytest.raises(ConfigError, match="eps"):
+            band_membership(entries, [_edges(0, -0.6, -0.4)], eps=-1.0)
+
 
 class TestWeylCount:
     def test_window_is_half_open(self):
