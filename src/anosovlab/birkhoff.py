@@ -42,7 +42,6 @@ class SamplingPlan:
     windows: Tuple[float, ...] = (50.0, 100.0, 200.0)
     word_length: int = 6
     max_closed: int = 128
-    grid_dt: float = 0.5  # unused; kept because the acceptance suite passes it
     seed: int = 7
     extrapolation_tol: float = 1e-3
 

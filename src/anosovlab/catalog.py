@@ -12,57 +12,81 @@ eigenvalues mu < 1/4 (these are tagged exceptional, as is the separate
 integer family z = -n).  Synthetic eigenvalue lists following the Weyl
 counting law N(mu) ~ (area / 4 pi) mu drive the statistics tests without a
 Laplacian eigensolver.
+
+A catalogue is a `ResonanceList` of four equal-length columns: `re` and
+`im` (float64), `band` (int64) and `provenance` (str, analytic or
+inverted).  A band code k >= 0 is a band index; EXCEPTIONAL (-1) and
+UNASSIGNED (-2, inverted modes before any membership pass) are flags,
+written to files under the names in BAND_NAMES.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple, Union
+from typing import List, Union
 
 import numpy as np
 
 from .errors import ConfigError
 
-EXCEPTIONAL = "exceptional"
-UNASSIGNED = "unassigned"  # inverted modes before any membership pass
+EXCEPTIONAL, UNASSIGNED = -1, -2
+BAND_NAMES = {EXCEPTIONAL: "exceptional", UNASSIGNED: "unassigned"}
+_BAND_CODES = {name: code for code, name in BAND_NAMES.items()}
+PROVENANCES = ("analytic", "inverted")
 
 
-@dataclass(frozen=True)
-class Resonance:
-    re: float
-    im: float
-    band: Union[int, str]
-    provenance: str  # analytic | inverted
+def band_label(code: int) -> Union[int, str]:
+    """The file value of a band code: the index itself, or the flag name."""
+    return BAND_NAMES.get(code, code)
+
+
+def band_code(label) -> int:
+    """The band code of a file value: a nonnegative integer or a flag name."""
+    if isinstance(label, str) and label in _BAND_CODES:
+        return _BAND_CODES[label]
+    if type(label) not in (int, float) or label < 0 or label % 1:
+        raise ConfigError("band must be a nonnegative integer, 'exceptional' "
+                          "or 'unassigned', got %r" % (label,))
+    return int(label)
+
+
+@dataclass(frozen=True, eq=False)
+class ResonanceList:
+    """Resonances as columns; entry i is re[i] + i im[i] in band[i]."""
+
+    re: np.ndarray
+    im: np.ndarray
+    band: np.ndarray
+    provenance: np.ndarray
 
     def __post_init__(self):
-        if self.provenance not in ("analytic", "inverted"):
+        band = np.asarray(self.band)
+        if band.size and band.dtype.kind not in "iu":
+            raise ConfigError("band codes must be integers")
+        columns = dict(re=np.asarray(self.re, dtype=np.float64),
+                       im=np.asarray(self.im, dtype=np.float64),
+                       band=band.astype(np.int64),
+                       provenance=np.asarray(self.provenance, dtype=str))
+        for name, column in columns.items():
+            if column.ndim != 1 or column.shape != band.shape:
+                raise ConfigError("columns must be 1-d of equal length")
+            object.__setattr__(self, name, column)
+        if np.any(self.band < UNASSIGNED):
+            raise ConfigError("band codes must be >= 0 or a flag's code")
+        if not np.isin(self.provenance, PROVENANCES).all():
             raise ConfigError("provenance must be analytic or inverted")
-        is_index = isinstance(self.band, (int, np.integer)) \
-            and not isinstance(self.band, bool)
-        if not is_index and self.band not in (EXCEPTIONAL, UNASSIGNED):
-            raise ConfigError(
-                "band must be an integer, 'exceptional', or 'unassigned'"
-            )
-
-    @property
-    def z(self) -> complex:
-        return complex(self.re, self.im)
-
-
-@dataclass(frozen=True)
-class ResonanceList:
-    entries: Tuple[Resonance, ...]
 
     def __len__(self):
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
+        return len(self.band)
 
     def band_entries(self, k: int) -> "ResonanceList":
-        return ResonanceList(tuple(r for r in self.entries if r.band == k))
+        sel = self.band == k
+        return ResonanceList(self.re[sel], self.im[sel], self.band[sel],
+                             self.provenance[sel])
 
     def zs(self) -> np.ndarray:
-        return np.array([r.z for r in self.entries], dtype=complex)
+        z = self.re.astype(complex)
+        z.imag = self.im
+        return z
 
     def conjugation_defect(self) -> float:
         """Max distance from any entry's conjugate to the nearest entry."""
@@ -74,8 +98,10 @@ class ResonanceList:
 
     def records(self) -> List[dict]:
         return [
-            {"re": r.re, "im": r.im, "band": r.band, "provenance": r.provenance}
-            for r in self.entries
+            {"re": re, "im": im, "band": band_label(b), "provenance": p}
+            for re, im, b, p in zip(self.re.tolist(), self.im.tolist(),
+                                    self.band.tolist(),
+                                    self.provenance.tolist())
         ]
 
 
@@ -117,21 +143,22 @@ def resonances_from_laplacian(spec: LaplaceSpectrum, k_max: int,
     """
     if k_max < 0 or n_max < 0:
         raise ConfigError("k_max and n_max must be nonnegative")
-    out = []
-    for k in range(k_max + 1):
-        line = -0.5 - k
-        for mu in spec.eigenvalues:
-            if mu >= 0.25:
-                s = float(np.sqrt(mu - 0.25))
-                out.append(Resonance(line, s, k, "analytic"))
-                out.append(Resonance(line, -s, k, "analytic"))
-            else:
-                r = float(np.sqrt(0.25 - mu))
-                out.append(Resonance(line + r, 0.0, EXCEPTIONAL, "analytic"))
-                out.append(Resonance(line - r, 0.0, EXCEPTIONAL, "analytic"))
-    for n in range(1, n_max + 1):
-        out.append(Resonance(float(-n), 0.0, EXCEPTIONAL, "analytic"))
-    return ResonanceList(tuple(out))
+    # axes (k, eigenvalue, pair): +s before -s, line + r before line - r;
+    # |mu - 1/4| rounds exactly as 1/4 - mu does for mu < 1/4
+    ev = spec.eigenvalues[:, None]
+    osc = ev >= 0.25
+    root = np.sqrt(np.abs(ev - 0.25)) * np.array([1.0, -1.0])
+    k = np.arange(k_max + 1)[:, None, None]
+    line = -0.5 - k
+    re = np.where(osc, line, line + root)
+    im = np.broadcast_to(np.where(osc, root, 0.0), re.shape)
+    band = np.broadcast_to(np.where(osc, k, EXCEPTIONAL), re.shape)
+    return ResonanceList(
+        re=np.concatenate([re.ravel(), -np.arange(1.0, n_max + 1)]),
+        im=np.concatenate([im.ravel(), np.zeros(n_max)]),
+        band=np.concatenate([band.ravel(), np.full(n_max, EXCEPTIONAL)]),
+        provenance=np.full(re.size + n_max, "analytic"),
+    )
 
 
 def synthetic_weyl_spectrum(area: float, mu_max: float, jitter: float = 0.0,

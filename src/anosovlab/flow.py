@@ -174,8 +174,6 @@ class ExactEnsemble:
         self.t += T
         return np.zeros((0, self.n))
 
-    advance_integrating = advance  # the name acceptance criterion 9 calls
-
     def burn_in(self):
         """u = 1 is already the unstable solution; nothing to relax."""
         return self

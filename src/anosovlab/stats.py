@@ -10,7 +10,7 @@ windows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import brentq
@@ -59,29 +59,21 @@ def band_membership(resonances: ResonanceList, edges: Sequence[BandEdges],
     edges = sorted(edges, key=lambda e: e.k)
     if [e.k for e in edges] != list(range(len(edges))):
         raise ConfigError("edges must cover k = 0..k_max without gaps")
-    assignments: List[object] = []
-    counts: dict = {}
-
-    def tally(label):
-        assignments.append(label)
-        counts[label] = counts.get(label, 0) + 1
-
-    for r in resonances:
-        if abs(r.im) <= im_cutoff:
-            tally(LOW_FREQUENCY)
-            continue
-        hits = [
-            e.k for e in edges
-            if e.gamma_minus - eps <= r.re <= e.gamma_plus + eps
-        ]
-        if len(hits) == 1:
-            tally(hits[0])
-        elif len(hits) > 1:
-            tally(AMBIGUOUS)
-        else:
-            tally(VIOLATION)
+    # hits[j, i]: entry i lies in the enlarged band j (inclusive bounds)
+    lo = np.array([e.gamma_minus - eps for e in edges])[:, None]
+    hi = np.array([e.gamma_plus + eps for e in edges])[:, None]
+    hits = (lo <= resonances.re) & (resonances.re <= hi)
+    n_hits = np.count_nonzero(hits, axis=0)
+    # slot j < len(edges) is band j, then the three flags
+    labels = list(range(len(edges))) + [AMBIGUOUS, VIOLATION, LOW_FREQUENCY]
+    slot = np.where(n_hits == 1, np.arange(len(edges)) @ hits,
+                    np.where(n_hits > 1, len(edges), len(edges) + 1))
+    slot[np.abs(resonances.im) <= im_cutoff] = len(edges) + 2
+    tally = np.bincount(slot, minlength=len(labels)).tolist()
+    assignments = tuple(np.array(labels, dtype=object)[slot].tolist())
+    counts = {label: c for label, c in zip(labels, tally) if c}
     return BandTestReport(
-        assignments=tuple(assignments),
+        assignments=assignments,
         counts=counts,
         im_cutoff=im_cutoff,
         eps=eps,
@@ -122,8 +114,7 @@ def weyl_count(resonances: ResonanceList, k: int, b: float,
         raise ConfigError("b must be positive")
     if k < 0:
         raise ConfigError("band index must be nonnegative, got %d" % k)
-    band = resonances.band_entries(k)
-    im = np.array([r.im for r in band], dtype=float)
+    im = resonances.im[resonances.band == k]
     count = _window_count(im, b, eps_exponent)
     im_top = float(im.max()) if len(im) else b
     if b_max is None:
@@ -178,26 +169,14 @@ def concentration(resonances: ResonanceList, d_mean: float, b_max: float,
     """Mean |Re z - <D>| over band-0 entries with |Im z| < b, b in a ladder."""
     if b_max <= 0:
         raise ConfigError("b_max must be positive")
-    band = resonances.band_entries(0)
-    re = np.array([r.re for r in band], dtype=float)
-    im = np.array([abs(r.im) for r in band], dtype=float)
+    band0 = resonances.band == 0
+    dist = np.abs(resonances.re[band0] - d_mean)
+    im = np.abs(resonances.im[band0])
     ladder = np.geomspace(max(b_max / 2 ** (n_ladder - 1), 1e-6), b_max,
                           n_ladder)
-    stats: List[Optional[float]] = []
-    for b in ladder:
-        sel = im < b
-        if not np.any(sel):
-            stats.append(None)
-            continue
-        stats.append(float(np.mean(np.abs(re[sel] - d_mean))))
-    defined = [(i, s) for i, s in enumerate(stats) if s is not None]
-    noninc = all(
-        b2 <= b1 + 1e-12
-        for (_, b1), (_, b2) in zip(defined, defined[1:])
-    )
-    return ConcentrationReport(
-        d_mean=d_mean,
-        ladder=ladder,
-        statistic=tuple(stats),
-        nonincreasing=noninc,
-    )
+    stats = tuple(float(np.mean(dist[im < b])) if np.any(im < b) else None
+                  for b in ladder)
+    defined = [s for s in stats if s is not None]
+    noninc = all(b2 <= b1 + 1e-12 for b1, b2 in zip(defined, defined[1:]))
+    return ConcentrationReport(d_mean=d_mean, ladder=ladder, statistic=stats,
+                               nonincreasing=noninc)

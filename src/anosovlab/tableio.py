@@ -13,14 +13,14 @@ import hashlib
 import json
 import math
 import platform
-import sys
 from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
 from . import __version__
 from .birkhoff import BandEdges
-from .catalog import LaplaceSpectrum, Resonance, ResonanceList
+from .catalog import (PROVENANCES, UNASSIGNED, LaplaceSpectrum, ResonanceList,
+                      band_code, band_label)
 from .correlation import CorrelationSeries
 from .errors import ConfigError
 
@@ -172,20 +172,15 @@ def read_spectrum(path) -> LaplaceSpectrum:
 
 # -- resonance lists ----------------------------------------------------------
 
-# One record of write_json(path, resonances.records()), keys in sorted order.
+# One record of write_json(path, resonances.records()), keys in sorted order;
+# the provenance names need no escaping.
 _RESONANCE_RECORD = ('  {\n    "band": %s,\n    "im": %s,\n'
-                     '    "provenance": %s,\n    "re": %s\n  }')
+                     '    "provenance": "%s",\n    "re": %s\n  }')
 
 
-def _json_scalar(value) -> str:
-    """json.dumps(value), with direct paths for strings and finite numbers."""
-    if isinstance(value, str):
-        return json.encoder.encode_basestring_ascii(value)
-    if isinstance(value, float) and math.isfinite(value):
-        return float.__repr__(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return int.__repr__(value)
-    return json.dumps(value)
+def _json_float(value: float) -> str:
+    """json.dumps(value) for a float, directly when it is finite."""
+    return float.__repr__(value) if math.isfinite(value) else json.dumps(value)
 
 
 def write_resonances(path, resonances: ResonanceList) -> None:
@@ -194,10 +189,14 @@ def write_resonances(path, resonances: ResonanceList) -> None:
     Filled from a per-record template: json's indenting encoder runs in pure
     Python and dominates the time on catalogues of tens of thousands.
     """
+    bands = {b: json.dumps(band_label(b))
+             for b in np.unique(resonances.band).tolist()}
     body = ",\n".join(
-        _RESONANCE_RECORD % (_json_scalar(r.band), _json_scalar(r.im),
-                             _json_scalar(r.provenance), _json_scalar(r.re))
-        for r in resonances
+        _RESONANCE_RECORD % (bands[b], _json_float(im), p, _json_float(re))
+        for re, im, b, p in zip(resonances.re.tolist(),
+                                resonances.im.tolist(),
+                                resonances.band.tolist(),
+                                resonances.provenance.tolist())
     )
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("[\n%s\n]\n" % body if body else "[]\n")
@@ -209,36 +208,33 @@ def read_resonances(path) -> ResonanceList:
         obj = obj["modes"]
     if not isinstance(obj, list):
         raise ConfigError("%s does not hold a resonance array" % path)
-    entries = []
-    for rec in obj:
-        band = rec["band"]
-        if not isinstance(band, str):
-            band = int(band)
-        entries.append(
-            Resonance(re=float(rec["re"]), im=float(rec["im"]), band=band,
-                      provenance=str(rec["provenance"]))
-        )
-    return ResonanceList(tuple(entries))
-
-
-def modes_records(modeset) -> List[dict]:
-    """Inverted modes as resonance records plus amplitudes."""
-    out = []
-    for z, a in zip(modeset.z, modeset.amplitude):
-        out.append({
-            "re": float(z.real),
-            "im": float(z.imag),
-            "band": "unassigned",
-            "provenance": "inverted",
-            "amplitude_re": float(a.real),
-            "amplitude_im": float(a.imag),
-        })
-    return out
+    rows = []
+    for i, rec in enumerate(obj):
+        try:
+            if rec["provenance"] not in PROVENANCES:
+                raise ConfigError("provenance must be analytic or inverted, "
+                                  "got %r" % (rec["provenance"],))
+            rows.append((float(rec["re"]), float(rec["im"]),
+                         band_code(rec["band"]), rec["provenance"]))
+        except KeyError as exc:
+            raise ConfigError("%s: record %d lacks the key %s"
+                              % (path, i, exc)) from None
+        except (ConfigError, TypeError, ValueError) as exc:
+            raise ConfigError("%s: record %d: %s" % (path, i, exc)) from None
+    re, im, band, provenance = zip(*rows) if rows else ((),) * 4
+    return ResonanceList(re, im, np.array(band, dtype=np.int64), provenance)
 
 
 def write_modes(path, modeset) -> None:
+    """Inverted modes as unassigned resonance records plus amplitudes."""
+    modes = [
+        {"re": float(z.real), "im": float(z.imag),
+         "band": band_label(UNASSIGNED), "provenance": "inverted",
+         "amplitude_re": float(a.real), "amplitude_im": float(a.imag)}
+        for z, a in zip(modeset.z, modeset.amplitude)
+    ]
     write_json(path, {
-        "modes": modes_records(modeset),
+        "modes": modes,
         "residual": float(modeset.residual),
         "dt": float(modeset.dt),
         "singular_values": [float(s) for s in modeset.singular_values[:16]],

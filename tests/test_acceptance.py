@@ -42,7 +42,7 @@ def _verdict(n, ok, detail, elapsed, budget):
 
 EXACT_PLAN = SamplingPlan(n_orbits=200, seed_rule="both",
                           windows=(30.0, 60.0, 120.0), word_length=4,
-                          max_closed=64, grid_dt=0.5, seed=11)
+                          max_closed=64, seed=11)
 
 
 def test_criterion_1_flat_band_edges(exact_model):
@@ -106,8 +106,7 @@ def test_criterion_4_analytic_catalog():
     worst_mu = 0.0
     for k in range(4):
         band = catalog.band_entries(k)
-        res = np.array([r.re for r in band])
-        ims = np.array([r.im for r in band])
+        res, ims = band.re, band.im
         worst_line = max(worst_line, np.abs(res + 0.5 + k).max())
         # entries come in conjugate pairs following the eigenvalue order
         mu_back = ims[0::2] ** 2 + 0.25
@@ -217,12 +216,11 @@ def test_criterion_8_concentration():
     exact_stats = [s for s in exact_rep.statistic if s is not None]
     exact_zero = bool(exact_stats) and all(s == 0.0 for s in exact_stats)
 
-    from anosovlab.catalog import Resonance, ResonanceList
+    from anosovlab.catalog import ResonanceList
     ims = np.geomspace(1.0, 1.0e4, 500)
-    decay = ResonanceList(tuple(
-        Resonance(-0.5 + 1.0 / np.log(2.0 + im), im, 0, "analytic")
-        for im in ims
-    ))
+    decay = ResonanceList(re=-0.5 + 1.0 / np.log(2.0 + ims), im=ims,
+                          band=np.zeros(500, dtype=int),
+                          provenance=np.full(500, "analytic"))
     decay_rep = concentration(decay, d_mean=-0.5, b_max=1.0e4)
     stats = [s for s in decay_rep.statistic if s is not None]
     decreasing = all(b < a for a, b in zip(stats, stats[1:]))
@@ -263,9 +261,9 @@ def test_criterion_9_invariant_suite(exact_model, perturbed_fine, tmp_path):
         if model.is_exact:
             one = ExactEnsemble.from_states(model, z, th)
             two = ExactEnsemble.from_states(model, z, th)
-            total = one.advance_integrating(3.0, [spec])[0]
-            parts = two.advance_integrating(1.25, [spec])[0] \
-                + two.advance_integrating(1.75, [spec])[0]
+            total = one.advance(3.0, [spec])[0]
+            parts = two.advance(1.25, [spec])[0] \
+                + two.advance(1.75, [spec])[0]
         else:
             one = MidpointEnsemble(model, z, theta_h=th)
             two = MidpointEnsemble(model, z, theta_h=th)

@@ -1,4 +1,5 @@
 """End-to-end tests of the command line driver (in process)."""
+import hashlib
 import json
 
 import numpy as np
@@ -239,6 +240,34 @@ class TestArtifacts:
                      "--out", str(bands_path)]) == 0
         meta = read_json(sidecar_path(bands_path))
         assert meta["n_violations"] == 0
+
+    def test_catalogue_bytes_are_pinned(self, tmp_path):
+        # the reproduce-fig2 catalogue size (32 008 entries) and its band
+        # tally against the closed-form edges -1/2 - k; the digests pin the
+        # order and every bit of the files, which a comparison of the
+        # writer with records() cannot
+        from anosovlab.birkhoff import BandEdges
+        from anosovlab.tableio import write_band_edges
+
+        cfg = _cfg(tmp_path, "mu_max = 4000\n")
+        res = tmp_path / "resonances.json"
+        assert main(["resonances", "--config", cfg, "--quiet",
+                     "--out", str(res)]) == 0
+        edges = tmp_path / "edges.csv"
+        write_band_edges(edges, [BandEdges(
+            k=k, gamma_minus=-0.5 - k, gamma_plus=-0.5 - k, horizon=10.0,
+            n_orbits=1, extrapolation_error=0.0) for k in range(4)])
+        bands = tmp_path / "bands.csv"
+        assert main(["bands", "--config", cfg, "--resonances", str(res),
+                     "--edges", str(edges), "--quiet",
+                     "--out", str(bands)]) == 0
+        assert read_json(sidecar_path(res))["n_entries"] == 32008
+        digests = [hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in (res, bands)]
+        assert digests == [
+            "e255c06a6c9497c3f34198604573790ad907ce8320edac80cc8823f42b4dcd14",
+            "bca8dfdf7c25dbe5be7387dde6e5642446258e15dfd03fe383b49c38b3d2d4cb",
+        ]
 
     def test_orbit_dump_columns(self, tmp_path):
         cfg = _cfg(tmp_path, "dt = 0.5\npotential_u_half = 1.0\n")

@@ -235,7 +235,7 @@ def test_guards(exact_model, perturbed_model):
 def test_advance_integrating_rejects_negative_time(exact_model):
     ens = ExactEnsemble.from_states(exact_model, np.array([1j]), np.array([0.0]))
     with pytest.raises(ConfigError):
-        ens.advance_integrating(-1.0, [ObservableSpec(c_const=1.0)])
+        ens.advance(-1.0, [ObservableSpec(c_const=1.0)])
     assert ens.t == 0.0
 
 
@@ -243,7 +243,7 @@ def test_advance_integrating_checks_the_horizon(exact_model):
     # every half-step lies inside the horizon of 500; the total does not
     ens = ExactEnsemble.from_states(exact_model, np.array([1j]), np.array([0.0]))
     with pytest.raises(HorizonError):
-        ens.advance_integrating(1000.0, [ObservableSpec(c_const=1.0)])
+        ens.advance(1000.0, [ObservableSpec(c_const=1.0)])
     assert ens.t == 0.0
 
 

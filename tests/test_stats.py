@@ -4,8 +4,7 @@ import pytest
 
 from anosovlab.birkhoff import BandEdges
 from anosovlab.catalog import (
-    EXCEPTIONAL,
-    Resonance,
+    UNASSIGNED,
     ResonanceList,
     resonances_from_laplacian,
     synthetic_weyl_spectrum,
@@ -27,10 +26,27 @@ def _edges(k, lo, hi):
                      n_orbits=1, extrapolation_error=0.0)
 
 
-def _inverted(pairs, band="unassigned"):
-    return ResonanceList(tuple(
-        Resonance(re, im, band, "inverted") for re, im in pairs
-    ))
+def _inverted(pairs, band=UNASSIGNED):
+    re, im = np.array(pairs, dtype=float).reshape(-1, 2).T
+    return ResonanceList(re=re, im=im, band=np.full(len(re), band),
+                         provenance=np.full(len(re), "inverted"))
+
+
+def _reference_membership(resonances, edges, eps, im_cutoff):
+    """The per-entry loop the hit matrix replaces: (assignments, counts)."""
+    edges = sorted(edges, key=lambda e: e.k)
+    assignments, counts = [], {}
+    for re, im in zip(resonances.re.tolist(), resonances.im.tolist()):
+        if abs(im) <= im_cutoff:
+            label = LOW_FREQUENCY
+        else:
+            hits = [e.k for e in edges
+                    if e.gamma_minus - eps <= re <= e.gamma_plus + eps]
+            label = (hits[0] if len(hits) == 1
+                     else AMBIGUOUS if hits else VIOLATION)
+        assignments.append(label)
+        counts[label] = counts.get(label, 0) + 1
+    return tuple(assignments), counts
 
 
 class TestBandMembership:
@@ -41,15 +57,12 @@ class TestBandMembership:
         report = band_membership(catalog, edges, eps=0.0)
         assert report.n_violations == 0
         assert report.counts.get(AMBIGUOUS, 0) == 0
-        n_low = sum(
-            1 for r in catalog if abs(r.im) <= DEFAULT_IM_CUTOFF
-        )
-        assert report.counts[LOW_FREQUENCY] == n_low
+        high = np.abs(catalog.im) > DEFAULT_IM_CUTOFF
+        assert report.counts[LOW_FREQUENCY] == np.count_nonzero(~high)
         assert sum(report.counts.values()) == len(catalog)
         # every high-frequency band-k entry lands in band k
-        for r, a in zip(catalog, report.assignments):
-            if abs(r.im) > DEFAULT_IM_CUTOFF:
-                assert a == r.band
+        assigned = np.array(report.assignments, dtype=object)
+        assert assigned[high].tolist() == catalog.band[high].tolist()
 
     def test_violation_outside_all_bands(self):
         entries = _inverted([(-0.2, 10.0), (-0.5, 10.0)])
@@ -89,6 +102,38 @@ class TestBandMembership:
             band_membership(entries, [_edges(0, -0.6, -0.4)], eps=-1.0)
 
 
+    @pytest.mark.parametrize("catalog, edges, eps, im_cutoff", [
+        # jittered analytic catalogue with mu < 1/4 and the -n family
+        (resonances_from_laplacian(synthetic_weyl_spectrum(
+            150.0, 80.0, jitter=0.4, seed=7), 3, 3),
+         [_edges(k, -0.52 - k, -0.48 - k) for k in range(4)], 1e-3, 5.0),
+        # overlapping enlarged bands: entries between lines are ambiguous
+        (_inverted([(x, 10.0) for x in np.linspace(-2.0, 0.5, 51)]),
+         [_edges(1, -1.6, -1.4), _edges(0, -0.6, -0.4)], 0.45, 5.0),
+        # entries exactly on the enlarged edges, which are inclusive
+        (_inverted([(-0.75, 8.0), (-0.25, -8.0), (-0.7500000000000001, 8.0),
+                    (-0.2499999999999999, 8.0), (-0.5, 8.0)]),
+         [_edges(0, -0.5, -0.5)], 0.25, 5.0),
+        # |Im z| exactly at the cutoff is low-frequency, just above is not
+        (_inverted([(-0.5, 5.0), (-0.5, -5.0), (-0.5, 5.000000000000001),
+                    (-0.5, -5.000000000000001), (-3.0, 7.0),
+                    (float("nan"), 9.0), (-0.5, float("inf"))]),
+         [_edges(0, -0.5, -0.5)], 0.0, 5.0),
+        (_inverted([]), [_edges(0, -0.5, -0.5)], 0.0, 5.0),
+        (_inverted([(-0.5, 10.0), (-0.5, 1.0)]), [], 0.0, 5.0),
+    ], ids=["analytic", "ambiguous", "on_edge", "at_cutoff", "empty",
+            "no_edges"])
+    def test_matches_reference_loop(self, catalog, edges, eps, im_cutoff):
+        report = band_membership(catalog, edges, eps=eps, im_cutoff=im_cutoff)
+        assignments, counts = _reference_membership(catalog, edges, eps,
+                                                     im_cutoff)
+        assert report.assignments == assignments
+        assert [type(a) for a in report.assignments] == \
+            [type(a) for a in assignments]
+        assert report.counts == counts
+        assert all(type(c) is int for c in report.counts.values())
+
+
 class TestWeylCount:
     def test_window_is_half_open(self):
         entries = _inverted([(-0.5, im) for im in (1.0, 2.0, 3.0, 4.0)], 0)
@@ -99,10 +144,8 @@ class TestWeylCount:
         assert report.count == 1
 
     def test_band_filter(self):
-        entries = ResonanceList(tuple(
-            [Resonance(-0.5, im, 0, "analytic") for im in (6.0, 7.0)]
-            + [Resonance(-1.5, 6.5, 1, "analytic")]
-        ))
+        entries = ResonanceList(re=[-0.5, -0.5, -1.5], im=[6.0, 7.0, 6.5],
+                                band=[0, 0, 1], provenance=["analytic"] * 3)
         assert weyl_count(entries, k=0, b=5.5).count == 1
         assert weyl_count(entries, k=1, b=6.0).count == 1
 
@@ -126,7 +169,7 @@ class TestWeylCount:
     def test_ladder_clamped_to_covered_windows(self):
         spectrum = synthetic_weyl_spectrum(area=4.0 * np.pi, mu_max=400.0)
         catalog = resonances_from_laplacian(spectrum, k_max=0)
-        im_top = max(r.im for r in catalog)
+        im_top = catalog.im.max()
         report = weyl_count(catalog, k=0, b=5.0, eps_exponent=0.0,
                             b_max=1000.0)
         top = report.ladder[-1]
@@ -163,10 +206,9 @@ class TestConcentration:
 
     def test_monotone_on_log_decay(self):
         ims = np.geomspace(1.0, 1.0e4, 400)
-        entries = ResonanceList(tuple(
-            Resonance(-0.5 + 1.0 / np.log(2.0 + im), im, 0, "analytic")
-            for im in ims
-        ))
+        entries = ResonanceList(re=-0.5 + 1.0 / np.log(2.0 + ims), im=ims,
+                                band=np.zeros(len(ims), dtype=int),
+                                provenance=np.full(len(ims), "analytic"))
         report = concentration(entries, d_mean=-0.5, b_max=1.0e4)
         defined = [s for s in report.statistic if s is not None]
         assert len(defined) >= 4

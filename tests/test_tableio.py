@@ -6,7 +6,8 @@ import pytest
 
 from anosovlab.birkhoff import BandEdges
 from anosovlab.catalog import (
-    Resonance,
+    EXCEPTIONAL,
+    UNASSIGNED,
     ResonanceList,
     resonances_from_laplacian,
     synthetic_weyl_spectrum,
@@ -168,17 +169,33 @@ class TestSpectrumTable:
             read_spectrum(path)
 
 
+def _rows(*rows):
+    """A resonance list from (re, im, band code, provenance) rows."""
+    re, im, band, provenance = zip(*rows) if rows else ((),) * 4
+    return ResonanceList(re=re, im=im, band=np.array(band, dtype=np.int64),
+                         provenance=provenance)
+
+
+def _same_columns(a, b):
+    return (a.re.tobytes() == b.re.tobytes()
+            and a.im.tobytes() == b.im.tobytes()
+            and a.band.tolist() == b.band.tolist()
+            and a.provenance.tolist() == b.provenance.tolist())
+
+
 class TestResonanceTable:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "res.json"
-        entries = ResonanceList((
-            Resonance(-0.5, 2.0, 0, "analytic"),
-            Resonance(-0.5, -2.0, 0, "analytic"),
-            Resonance(-1.0, 0.0, "exceptional", "analytic"),
-        ))
+        entries = _rows((-0.5, 2.0, 0, "analytic"),
+                        (-0.5, -2.0, 0, "analytic"),
+                        (-1.0, 0.0, EXCEPTIONAL, "analytic"),
+                        (-0.25, -0.0, UNASSIGNED, "inverted"))
         write_resonances(path, entries)
-        back = read_resonances(path)
-        assert back.entries == entries.entries
+        assert _same_columns(read_resonances(path), entries)
+        catalog = resonances_from_laplacian(synthetic_weyl_spectrum(
+            area=4.0 * np.pi, mu_max=50.0, jitter=0.3, seed=5), 2, 2)
+        write_resonances(path, catalog)
+        assert _same_columns(read_resonances(path), catalog)
 
     def test_reads_mode_files(self, tmp_path):
         path = tmp_path / "modes.json"
@@ -192,27 +209,27 @@ class TestResonanceTable:
         write_modes(path, modes)
         back = read_resonances(path)
         assert len(back) == 2
-        assert all(r.provenance == "inverted" for r in back)
-        assert all(r.band == "unassigned" for r in back)
+        assert back.provenance.tolist() == ["inverted"] * 2
+        assert back.band.tolist() == [UNASSIGNED] * 2
+        assert back.zs().tolist() == [-0.5 + 2.0j, -0.5 - 2.0j]
         raw = json.loads(path.read_text())
         assert raw["residual"] == pytest.approx(1.2e-8)
         assert raw["dt"] == 0.05
 
-    @pytest.mark.parametrize("entries", [
+    @pytest.mark.parametrize("resonances", [
         resonances_from_laplacian(synthetic_weyl_spectrum(
-            area=4.0 * np.pi, mu_max=120.0, jitter=0.3, seed=5), 3, 2).entries,
-        (),
-        (Resonance(-0.5, 2.0, 0, "analytic"),
-         Resonance(-0.5, -0.0, 0, "analytic"),
-         Resonance(0.1, 0.0, "exceptional", "analytic"),
-         Resonance(-0.25, 1e-300, "unassigned", "inverted"),
-         Resonance(-3.0, 0.0, 12, "analytic")),
-        (Resonance(float("nan"), 1.0, "unassigned", "inverted"),
-         Resonance(float("inf"), float("-inf"), 1, "analytic")),
+            area=4.0 * np.pi, mu_max=120.0, jitter=0.3, seed=5), 3, 2),
+        _rows(),
+        _rows((-0.5, 2.0, 0, "analytic"),
+              (-0.5, -0.0, 0, "analytic"),
+              (0.1, 0.0, EXCEPTIONAL, "analytic"),
+              (-0.25, 1e-300, UNASSIGNED, "inverted"),
+              (-3.0, 0.0, 12, "analytic")),
+        _rows((float("nan"), 1.0, UNASSIGNED, "inverted"),
+              (float("inf"), float("-inf"), 1, "analytic")),
     ], ids=["analytic", "empty", "bands_and_signed_zero", "non_finite"])
-    def test_bytes_match_json_dump(self, tmp_path, entries):
+    def test_bytes_match_json_dump(self, tmp_path, resonances):
         path = tmp_path / "res.json"
-        resonances = ResonanceList(tuple(entries))
         write_resonances(path, resonances)
         expected = json.dumps(resonances.records(), sort_keys=True,
                               indent=2) + "\n"
@@ -223,6 +240,45 @@ class TestResonanceTable:
         write_json(path, {"not": "resonances"})
         with pytest.raises(ConfigError, match="resonance array"):
             read_resonances(path)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("band", 1.7, "band"),
+        ("band", True, "band"),
+        ("band", False, "band"),
+        ("band", -3, "band"),
+        ("band", -1, "band"),
+        ("band", None, "band"),
+        ("band", "third", "band"),
+        ("provenance", "guess", "provenance"),
+        ("provenance", 0, "provenance"),
+        ("re", None, "record 1"),
+    ])
+    def test_rejects_bad_record_values(self, tmp_path, field, value, message):
+        path = tmp_path / "bad.json"
+        records = [{"re": -0.5, "im": 2.0, "band": 0, "provenance": "analytic"}
+                   for _ in range(3)]
+        records[1][field] = value
+        write_json(path, records)
+        with pytest.raises(ConfigError, match="record 1") as exc:
+            read_resonances(path)
+        assert message in str(exc.value)
+
+    @pytest.mark.parametrize("key", ["re", "im", "band", "provenance"])
+    def test_rejects_missing_keys(self, tmp_path, key):
+        path = tmp_path / "bad.json"
+        records = [{"re": -0.5, "im": 2.0, "band": "exceptional",
+                    "provenance": "analytic"} for _ in range(3)]
+        del records[2][key]
+        write_json(path, {"modes": records})
+        with pytest.raises(ConfigError, match="record 2 lacks the key '%s'"
+                           % key):
+            read_resonances(path)
+
+    def test_accepts_integral_float_bands(self, tmp_path):
+        path = tmp_path / "float_band.json"
+        write_json(path, [{"re": -1.5, "im": 2.0, "band": 1.0,
+                           "provenance": "analytic"}])
+        assert read_resonances(path).band.tolist() == [1]
 
 
 class TestOrbitDump:
