@@ -21,15 +21,6 @@ def _parse_float_tuple(text: str) -> Tuple[float, ...]:
         raise ConfigError("bad float list %r" % text) from exc
 
 
-def _parse_bool(text: str) -> bool:
-    low = text.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError("bad boolean %r" % text)
-
-
 # key -> (coercion, help)
 SCHEMA: Dict[str, tuple] = {
     # model

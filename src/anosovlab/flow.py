@@ -190,24 +190,17 @@ class MidpointEnsemble:
 
     n_iter = 4  # fixed-point iterations per step; fixed for reproducibility
 
-    def __init__(self, model: FlowModel, z, theta_h=None, xi=None, u=None,
-                 h: Optional[float] = None):
+    def __init__(self, model: FlowModel, z, theta_h, h: Optional[float] = None):
         self.model = model
         self.h = float(model.step if h is None else h)
         if not 0.0 < abs(self.h) <= 0.5:
             raise ConfigError("step magnitude must lie in (0, 0.5]")
         self.z = np.array(z, dtype=complex)
-        if (theta_h is None) == (xi is None):
-            raise ConfigError("give exactly one of theta_h or xi")
-        if xi is not None:
-            self.xi = np.array(xi, dtype=complex)
-        else:
-            psi = model.psi(self.z)
-            self.xi = (np.exp(psi) / self.z.imag) * np.exp(
-                1j * np.asarray(theta_h, dtype=float)
-            )
-        self.u = (np.ones(self.z.shape) if u is None
-                  else np.array(u, dtype=float))
+        psi = model.psi(self.z)
+        self.xi = (np.exp(psi) / self.z.imag) * np.exp(
+            1j * np.asarray(theta_h, dtype=float)
+        )
+        self.u = np.ones(self.z.shape)
         self.t = 0.0
 
     @property

@@ -31,7 +31,7 @@ import numpy as np
 APOTHEM = float(np.arccosh(1.0 + np.sqrt(2.0)))
 VERTEX_RADIUS = float(np.arccosh(3.0 + 2.0 * np.sqrt(2.0)))
 TRANSLATION_LENGTH = 2.0 * APOTHEM
-N_SIDES = 8
+MAX_ROUNDS = 64  # cap on the sweeps of one reduction call
 
 _CAYLEY = np.array([[1.0, -1j], [1.0, 1j]])
 _CAYLEY_INV = np.linalg.inv(_CAYLEY)
@@ -174,19 +174,20 @@ class DirichletDomain:
     def contains(self, z, tol=1e-12):
         return self.margin(np.asarray(z, dtype=complex)) >= -tol
 
-    def _reduce(self, z, move, max_rounds):
+    def _reduce(self, z, move):
         """The reduction loop over base points z, updated in place.
 
-        ``move(sel, m)`` applies the matrix m to the states at indices sel
-        and returns their new base points.  Later sweeps touch only the
-        points that moved in the previous one and still sit outside the
-        inscribed circle; everything else is already reduced.  Returns the
-        number of sweeps used.
+        ``move(sel, m)`` applies the matrices m[k] to the states at indices
+        sel[k] and returns their new base points.  Each sweep moves every
+        point that has a strictly closer neighbour in one gathered call.
+        Later sweeps touch only the points that moved in the previous one and
+        still sit outside the inscribed circle; everything else is already
+        reduced.  Returns the number of sweeps used, at most MAX_ROUNDS.
         """
         c0 = cosh_dist_hp(z, 1j)
         active = np.flatnonzero(c0 > self._cosh_in)  # only these can be outside
         rounds = 0
-        while len(active) and rounds < max_rounds:
+        while len(active) and rounds < MAX_ROUNDS:
             cj = cosh_dist_hp(z[active, None], self.neighbor_base)
             jbest = np.argmin(cj, axis=1)
             better = cj[np.arange(len(jbest)), jbest] < c0[active] * (1.0 - 1e-15)
@@ -194,39 +195,27 @@ class DirichletDomain:
                 break
             rounds += 1
             idx = active[better]
-            jsel = jbest[better]
-            for j in np.unique(jsel):
-                sel = idx[jsel == j]
-                z[sel] = move(sel, self.neighbors_inv[j])
+            z[idx] = move(idx, self.neighbors_inv[jbest[better]])
             c0[idx] = cosh_dist_hp(z[idx], 1j)
             active = idx[c0[idx] > self._cosh_in]
         return rounds
 
-    def reduce_points(self, z, xi=None, max_rounds=64):
-        """Reduce half-plane points (and optionally covectors) into the polygon.
+    def reduce_points(self, z, xi):
+        """Reduce 1-d arrays of half-plane points and covectors into the polygon.
 
         Covectors transform by xi -> xi * conj((c z + d)^2) for the applied
         matrix, which is the inverse-transpose action written complexly.
         Returns (z, xi, rounds_used).
         """
         z = np.array(z, dtype=complex, copy=True)
-        if xi is not None:
-            xi = np.array(xi, dtype=complex, copy=True)
-        flat = z.ndim == 0
-        if flat:
-            z = z[None]
-            xi = xi[None] if xi is not None else None
+        xi = np.array(xi, dtype=complex, copy=True)
 
         def move(sel, m):
-            if xi is not None:
-                q = m[1, 0] * z[sel] + m[1, 1]
-                xi[sel] = xi[sel] * np.conj(q * q)
+            q = m[:, 1, 0] * z[sel] + m[:, 1, 1]
+            xi[sel] = xi[sel] * np.conj(q * q)
             return mobius(m, z[sel])
 
-        rounds = self._reduce(z, move, max_rounds)
-        if flat:
-            z = z[0]
-            xi = xi[0] if xi is not None else None
+        rounds = self._reduce(z, move)
         return z, xi, rounds
 
     def quotient_cosh_dist(self, z, w):
@@ -246,17 +235,17 @@ class DirichletDomain:
 
     # -- matrix form --------------------------------------------------------
 
-    def reduce_matrices(self, g, max_rounds=64):
+    def reduce_matrices(self, g):
         """Left-multiply (n,2,2) matrices by group elements until the base
         point lies in the polygon.  Returns the number of sweeps used."""
         g = np.asarray(g)
 
         def move(sel, m):
-            moved = np.einsum("ab,nbc->nac", m, g[sel])
+            moved = np.einsum("nab,nbc->nac", m, g[sel])
             g[sel] = moved
             return matrix_base_point(moved)
 
-        return self._reduce(matrix_base_point(g), move, max_rounds)
+        return self._reduce(matrix_base_point(g), move)
 
 
 def _word_levels(generators, max_len):

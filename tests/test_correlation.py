@@ -1,4 +1,6 @@
 """Tests for Liouville Monte Carlo correlation functions."""
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -137,6 +139,20 @@ class TestCorrelationSeriesEstimator:
         with pytest.raises(ConfigError, match="chunk"):
             correlation_series(exact_model, spec, spec, dt=0.5, n_lags=5,
                                n_samples=20000, seed=9, chunk=0)
+
+    def test_exact_stream_digest(self, exact_model):
+        # Pins the bits of the exact-backend stream: 600 orbits of 585 grid
+        # points, each step left-multiplied back into the octagon by
+        # reduce_matrices.  Recorded before each reduction sweep became one
+        # gathered product (x86-64 with AVX-512, numpy 2.4).
+        spec = mean_zero(exact_model, ObservableSpec(c_bump=1.0))
+        series = correlation_series(exact_model, spec, spec, dt=0.2,
+                                    n_lags=300, n_samples=12000, seed=11)
+        digest = hashlib.sha256()
+        digest.update(series.values.tobytes())
+        digest.update(series.stderr.tobytes())
+        assert digest.hexdigest() == (
+            "c9c17ad679e6562326ec080295f5b5807c9b11e4a4ba861fb8d80a4f0e6927b8")
 
     def test_forward_route_on_stationary_expansion(self):
         # epsilon = 0 keeps curvature at -1, so after burn-in the expansion

@@ -84,6 +84,31 @@ def test_state_matrix_round_trip():
     np.testing.assert_allclose(th_d, halfplane_to_disk_angle(z, th), atol=1e-11)
 
 
+def _per_neighbour_reduce(domain, z, move):
+    """Reference reduction loop: one ``move(sel, m)`` per distinct neighbour
+    in each sweep, with m a single (2, 2) matrix.  Returns the sweep count
+    and whether any sweep applied two or more different neighbours."""
+    c0 = cosh_dist_hp(z, 1j)
+    active = np.flatnonzero(c0 > domain._cosh_in)
+    rounds, mixed = 0, False
+    while len(active) and rounds < 64:
+        cj = cosh_dist_hp(z[active, None], domain.neighbor_base)
+        jbest = np.argmin(cj, axis=1)
+        better = cj[np.arange(len(jbest)), jbest] < c0[active] * (1.0 - 1e-15)
+        if not better.any():
+            break
+        rounds += 1
+        idx = active[better]
+        jsel = jbest[better]
+        mixed |= len(np.unique(jsel)) >= 2
+        for j in np.unique(jsel):
+            sel = idx[jsel == j]
+            z[sel] = move(sel, domain.neighbors_inv[j])
+        c0[idx] = cosh_dist_hp(z[idx], 1j)
+        active = idx[c0[idx] > domain._cosh_in]
+    return rounds, mixed
+
+
 class TestDirichletReduction:
     def setup_method(self):
         self.gens = bolza_generators()
@@ -132,6 +157,41 @@ class TestDirichletReduction:
             np.mod(matrix_angle_hp(g), 2 * np.pi),
             atol=1e-9,
         )
+
+    def test_gathered_sweep_matches_per_neighbour_loop(self):
+        rng = np.random.default_rng(7)
+        z = rng.uniform(-4, 4, 40) + 1j * rng.uniform(0.05, 6.0, 40)
+        th = rng.uniform(0, 2 * np.pi, 40)
+        g = halfplane_to_matrix(z, th)
+        psi = np.exp(1j * th) / z.imag
+
+        ref_g = g.copy()
+
+        def move_matrices(sel, m):
+            moved = np.einsum("ab,nbc->nac", m, ref_g[sel])
+            ref_g[sel] = moved
+            return matrix_base_point(moved)
+
+        ref_rounds, mixed = _per_neighbour_reduce(
+            self.domain, matrix_base_point(ref_g), move_matrices)
+        assert mixed  # some sweep applied two or more different neighbours
+        rounds = self.domain.reduce_matrices(g)
+        np.testing.assert_array_equal(g, ref_g)
+        assert rounds == ref_rounds
+
+        ref_z, ref_xi = z.copy(), psi.astype(complex)
+
+        def move_points(sel, m):
+            q = m[1, 0] * ref_z[sel] + m[1, 1]
+            ref_xi[sel] = ref_xi[sel] * np.conj(q * q)
+            return mobius(m, ref_z[sel])
+
+        ref_rounds, mixed = _per_neighbour_reduce(self.domain, ref_z, move_points)
+        assert mixed
+        zr, xir, rounds = self.domain.reduce_points(z.copy(), psi.astype(complex))
+        np.testing.assert_array_equal(zr, ref_z)
+        np.testing.assert_array_equal(xir, ref_xi)
+        assert rounds == ref_rounds
 
     def test_quotient_distance_symmetry(self):
         rng = np.random.default_rng(8)
