@@ -29,8 +29,6 @@ class ExperimentManifest:
 
 
 def _limit_threads(n: int):
-    os.environ.setdefault("OMP_NUM_THREADS", str(n))
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", str(n))
     try:
         from threadpoolctl import threadpool_limits
         return threadpool_limits(limits=n)
@@ -406,7 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", required=True,
                         help="output file (directory for reproduce-fig2)")
     common.add_argument("--threads", type=int, default=1,
-                        help="linear-algebra worker threads")
+                        help="linear-algebra worker threads (pinned only "
+                        "when threadpoolctl is installed)")
     common.add_argument("--quiet", action="store_true",
                         help="suppress progress lines")
 

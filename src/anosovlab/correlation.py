@@ -53,17 +53,15 @@ class CorrelationSeries:
     def times(self) -> np.ndarray:
         return self.dt * np.arange(len(self.values))
 
-    @classmethod
-    def from_values(cls, dt: float, values, stderr=None) -> "CorrelationSeries":
-        values = np.asarray(values, dtype=float)
-        if stderr is None:
-            stderr = np.zeros_like(values)
-        return cls(dt=dt, values=values, stderr=stderr)
+
+# Volume averages: Gauss-Legendre nodes per sector axis for the position
+# terms, and Monte Carlo points and seed for the expansion-rate term.
+MEAN_QUAD_NODES = 96
+MEAN_MC_SAMPLES = 200000
+MEAN_MC_SEED = 17
 
 
-def observable_mean(model: FlowModel, spec: ObservableSpec,
-                    n_mc: int = 200000, seed: int = 17,
-                    n_quad: int = 96) -> Tuple[float, float]:
+def observable_mean(model: FlowModel, spec: ObservableSpec) -> Tuple[float, float]:
     """Volume average of an observable; returns (mean, stderr).
 
     Position-dependent terms are integrated by quadrature over the polygon
@@ -80,7 +78,7 @@ def observable_mean(model: FlowModel, spec: ObservableSpec,
     if spec.c_shape != 0.0:
         num = octagon_area(
             lambda z: model.conformal_weight(z) * _shape(model).value(z),
-            n_ang=n_quad, n_rad=n_quad,
+            n_ang=MEAN_QUAD_NODES, n_rad=MEAN_QUAD_NODES,
         )
         mean += spec.c_shape * num / area
     if spec.c_bump != 0.0:
@@ -90,7 +88,7 @@ def observable_mean(model: FlowModel, spec: ObservableSpec,
         num = octagon_area(
             lambda z: model.conformal_weight(z)
             * evaluate_observable(model, bump_only, z),
-            n_ang=n_quad, n_rad=n_quad,
+            n_ang=MEAN_QUAD_NODES, n_rad=MEAN_QUAD_NODES,
         )
         mean += num / area
     if spec.c_u_half != 0.0:
@@ -98,16 +96,16 @@ def observable_mean(model: FlowModel, spec: ObservableSpec,
             mean += 0.5 * spec.c_u_half
         else:
             u_mean, u_err = space_average(
-                model, ObservableSpec(c_u_half=1.0), n_mc, seed=seed
-            )
+                model, ObservableSpec(c_u_half=1.0), MEAN_MC_SAMPLES,
+                seed=MEAN_MC_SEED)
             mean += spec.c_u_half * u_mean
             err = abs(spec.c_u_half) * u_err
     return float(mean), float(err)
 
 
-def mean_zero(model: FlowModel, spec: ObservableSpec, **kwargs) -> ObservableSpec:
+def mean_zero(model: FlowModel, spec: ObservableSpec) -> ObservableSpec:
     """Shift c_const so the volume average vanishes."""
-    m, _ = observable_mean(model, spec, **kwargs)
+    m, _ = observable_mean(model, spec)
     return dataclasses.replace(spec, c_const=spec.c_const - m)
 
 

@@ -158,21 +158,10 @@ class DirichletDomain:
         self.neighbors = np.concatenate([generators, inv])         # (8,2,2)
         self.neighbors_inv = np.concatenate([inv, generators])     # inverse of each
         self.neighbor_base = mobius(self.neighbors, 1j)            # gamma_j(i)
-        self.in_radius = APOTHEM          # inscribed (hyperbolic) radius
-        self.out_radius = VERTEX_RADIUS   # circumscribed radius
         # quick-skip threshold: points within the inscribed circle are inside
-        self._cosh_in = np.cosh(self.in_radius)
+        self._cosh_in = np.cosh(APOTHEM)
 
     # -- point form ---------------------------------------------------------
-
-    def margin(self, z):
-        """min_j cosh d(z, gamma_j i) - cosh d(z, i); >= 0 inside the polygon."""
-        c0 = cosh_dist_hp(z, 1j)
-        cj = cosh_dist_hp(z[..., None], self.neighbor_base)
-        return cj.min(axis=-1) - c0
-
-    def contains(self, z, tol=1e-12):
-        return self.margin(np.asarray(z, dtype=complex)) >= -tol
 
     def _reduce(self, z, move):
         """The reduction loop over base points z, updated in place.
@@ -267,20 +256,6 @@ def _word_levels(generators, max_len):
         parent, last = np.nonzero(keep)
         mats = np.matmul(mats[:, None], gen8)[keep]
         yield mats, parent, last
-
-
-def group_words(generators, max_len, include_identity=True):
-    """All reduced words (no immediate backtracking) up to the given length.
-
-    Yields (matrix, word) where word is a tuple of indices into the list
-    [g0..g3, g0^-1..g3^-1].
-    """
-    if include_identity:
-        yield np.eye(2), ()
-    words = [()]
-    for mats, parent, last in _word_levels(generators, max_len):
-        words = [words[p] + (j,) for p, j in zip(parent.tolist(), last.tolist())]
-        yield from zip(mats, words)
 
 
 def closed_geodesic_elements(generators, max_len, limit=None):

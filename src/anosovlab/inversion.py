@@ -14,7 +14,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import hankel, lstsq, pinv
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .correlation import CorrelationSeries
 from .errors import InversionError
@@ -34,12 +34,6 @@ class ModeSet:
 
     def __len__(self):
         return len(self.z)
-
-    def reconstruct(self, times) -> np.ndarray:
-        times = np.asarray(times, dtype=float)
-        if len(self.z) == 0:
-            return np.zeros(times.shape, dtype=complex)
-        return np.exp(np.outer(times, self.z)) @ self.amplitude
 
     def conjugation_defect(self) -> float:
         if len(self.z) == 0:
@@ -69,6 +63,14 @@ def _empty_modeset(dt: float, sv: np.ndarray, residual: float) -> ModeSet:
     )
 
 
+def _pinv(a: np.ndarray) -> np.ndarray:
+    """Moore-Penrose pseudo-inverse with scipy.linalg.pinv's cutoff and
+    arithmetic order (np.linalg.pinv rounds differently)."""
+    u, s, vh = np.linalg.svd(a, full_matrices=False)
+    r = int(np.count_nonzero(s > max(a.shape) * np.finfo(s.dtype).eps * s[0]))
+    return ((u[:, :r] / s[:r]) @ vh[:r]).conj().T
+
+
 def harmonic_inversion(series: CorrelationSeries, max_modes: int,
                        sv_threshold: float = 1e-3) -> ModeSet:
     """Extract decaying modes from a correlation series.
@@ -94,7 +96,7 @@ def harmonic_inversion(series: CorrelationSeries, max_modes: int,
         return _empty_modeset(dt, np.zeros(0), 0.0)
 
     rows = min(n // 2, _MAX_HANKEL_ROWS)
-    Y = hankel(c[:rows], c[rows - 1:])
+    Y = sliding_window_view(c, n - rows + 1)  # Hankel, Y[i, j] = c[i + j]
     U, sv, _ = np.linalg.svd(Y, full_matrices=False)
     rank = int(np.count_nonzero(sv >= sv_threshold * sv[0]))
     rank = min(rank, max_modes, rows - 1)
@@ -103,7 +105,7 @@ def harmonic_inversion(series: CorrelationSeries, max_modes: int,
 
     U0 = U[:-1, :rank]
     U1 = U[1:, :rank]
-    w = np.linalg.eigvals(pinv(U0) @ U1)
+    w = np.linalg.eigvals(_pinv(U0) @ U1)
     w = w[np.abs(w) > 1e-12]
     if len(w) == 0:
         return _empty_modeset(dt, sv, float(np.sqrt(np.mean(c ** 2))))
@@ -117,7 +119,7 @@ def harmonic_inversion(series: CorrelationSeries, max_modes: int,
         )
 
     vand = np.exp(np.outer(series.times, z))
-    amp, *_ = lstsq(vand, c.astype(complex))
+    amp, *_ = np.linalg.lstsq(vand, c.astype(complex), rcond=None)
     misfit = vand @ amp - c
     residual = float(np.sqrt(np.mean(np.abs(misfit) ** 2)))
     order = np.argsort(-z.real)
@@ -127,55 +129,4 @@ def harmonic_inversion(series: CorrelationSeries, max_modes: int,
         singular_values=sv,
         residual=residual,
         dt=dt,
-    )
-
-
-@dataclass(frozen=True)
-class ExpansionReport:
-    """Exponential-rate test of the truncation residual."""
-
-    slope: float
-    fit_error: float
-    bound: float     # gamma_1^+ + eps
-    passed: bool
-    vacuous: bool    # residual never rose above the noise floor
-    n_points: int
-    noise_floor: float
-
-
-def expansion_residual(series: CorrelationSeries, modes: ModeSet,
-                       gamma1_plus: float, eps: float = 0.1,
-                       t_min: float = 0.0) -> ExpansionReport:
-    """Fit the decay rate of R(t) = |C(t) - sum_j a_j e^{z_j t}|.
-
-    Passes when the fitted slope is at most gamma1_plus + eps + fit error;
-    when R sits below the Monte Carlo noise floor everywhere the test is
-    vacuous and flagged as such (but counted as a pass).
-    """
-    t = series.times
-    r = np.abs(series.values - modes.reconstruct(t).real)
-    scale = float(np.max(np.abs(series.values), initial=0.0))
-    floor = float(np.median(series.stderr)) if np.any(series.stderr > 0) else 0.0
-    floor = max(floor, 1e-12 * scale)  # rounding of the reconstruction itself
-    usable = (r > max(floor, 1e-300)) & (t >= t_min)
-    bound = gamma1_plus + eps
-    if np.count_nonzero(usable) < 5:
-        return ExpansionReport(
-            slope=float("nan"), fit_error=float("nan"), bound=bound,
-            passed=True, vacuous=True,
-            n_points=int(np.count_nonzero(usable)), noise_floor=floor,
-        )
-    x = t[usable]
-    y = np.log(r[usable])
-    coeffs, cov = np.polyfit(x, y, 1, cov=True)
-    slope = float(coeffs[0])
-    fit_error = float(np.sqrt(cov[0, 0]))
-    return ExpansionReport(
-        slope=slope,
-        fit_error=fit_error,
-        bound=bound,
-        passed=bool(slope <= bound + fit_error),
-        vacuous=False,
-        n_points=int(np.count_nonzero(usable)),
-        noise_floor=floor,
     )

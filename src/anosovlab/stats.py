@@ -13,13 +13,14 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .birkhoff import BandEdges
 from .catalog import ResonanceList
 from .errors import ConfigError
 
 DEFAULT_IM_CUTOFF = 5.0  # below this |Im z| entries count as exceptions
+WEYL_LADDER = 12  # rungs of the weyl_count height ladder
+CONCENTRATION_LADDER = 8  # rungs of the concentration height ladder
 
 LOW_FREQUENCY = "low-frequency"
 AMBIGUOUS = "ambiguous"
@@ -101,8 +102,8 @@ def _window_count(im: np.ndarray, b: float, eps_exponent: float) -> int:
 
 
 def weyl_count(resonances: ResonanceList, k: int, b: float,
-               eps_exponent: float = 0.0, b_max: Optional[float] = None,
-               n_ladder: int = 12) -> WeylReport:
+               eps_exponent: float = 0.0,
+               b_max: Optional[float] = None) -> WeylReport:
     """Count band-k resonances in (b, b + b^eps] and fit the height ladder.
 
     Windows are half-open so that with eps_exponent = 0 consecutive windows
@@ -124,13 +125,15 @@ def weyl_count(resonances: ResonanceList, k: int, b: float,
         if b + b ** eps_exponent >= im_top:
             b_max = b
         else:
+            from scipy.optimize import brentq
+
             b_max = float(brentq(
                 lambda x: x + x ** eps_exponent - im_top, b, max(im_top, b)
             ))
     if b_max <= b:
         ladder = np.array([b])
     else:
-        ladder = np.geomspace(b, b_max, n_ladder)
+        ladder = np.geomspace(b, b_max, WEYL_LADDER)
     window_counts = np.array(
         [_window_count(im, bb, eps_exponent) for bb in ladder]
     )
@@ -164,16 +167,16 @@ class ConcentrationReport:
         return defined[-1] if defined else None
 
 
-def concentration(resonances: ResonanceList, d_mean: float, b_max: float,
-                  n_ladder: int = 8) -> ConcentrationReport:
+def concentration(resonances: ResonanceList, d_mean: float,
+                  b_max: float) -> ConcentrationReport:
     """Mean |Re z - <D>| over band-0 entries with |Im z| < b, b in a ladder."""
     if b_max <= 0:
         raise ConfigError("b_max must be positive")
     band0 = resonances.band == 0
     dist = np.abs(resonances.re[band0] - d_mean)
     im = np.abs(resonances.im[band0])
-    ladder = np.geomspace(max(b_max / 2 ** (n_ladder - 1), 1e-6), b_max,
-                          n_ladder)
+    ladder = np.geomspace(max(b_max / 2 ** (CONCENTRATION_LADDER - 1), 1e-6),
+                          b_max, CONCENTRATION_LADDER)
     stats = tuple(float(np.mean(dist[im < b])) if np.any(im < b) else None
                   for b in ladder)
     defined = [s for s in stats if s is not None]

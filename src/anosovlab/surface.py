@@ -38,8 +38,8 @@ from .fuchsian import (
     APOTHEM,
     VERTEX_RADIUS,
     cosh_dist_hp,
+    _word_levels,
     dist_hp,
-    group_words,
     mobius,
     to_disk,
     to_halfplane,
@@ -53,6 +53,8 @@ N_SECTORS = 16
 # The largest step MidpointEnsemble accepts; no fixed-point iterate of a step
 # moves further than this from the step's reduced start point.
 SECTOR_MARGIN = 0.5
+# Bumps below this value are dropped from the centre lists.
+PRUNE_TOL = 1e-14
 
 
 def fold_octant(phi):
@@ -207,35 +209,35 @@ class PerturbationShape:
 
     Centres are the orbit of a base point under all reduced words up to
     `depth`, pruned to those whose bump can reach the circumscribed disk of
-    the polygon above `prune_tol` (`centers`).  Each point then sums over
+    the polygon above PRUNE_TOL (`centers`).  Each point then sums over
     the list of its symmetry sector only: row k of `sector_table` holds the
-    centres whose bump can exceed `prune_tol` within SECTOR_MARGIN of the
+    centres whose bump can exceed PRUNE_TOL within SECTOR_MARGIN of the
     polar sector k, padded to a common width (`n_centers`) with a centre so
     far away that its terms are exactly 0.  `pruning_gap` measures what the
     lists drop.  All evaluation assumes arguments lie within SECTOR_MARGIN
     of the fundamental polygon; callers reduce first.
     """
 
-    def __init__(self, generators, sigma=0.35, depth=3, base_point=1j,
-                 prune_tol=1e-14):
+    def __init__(self, generators, sigma=0.35, depth=3, base_point=1j):
         if sigma <= 0:
             raise ValueError("sigma must be positive")
         self.sigma = float(sigma)
         self.depth = int(depth)
         self.base_point = complex(base_point)
+        words = [np.eye(2)[None]] + [
+            mats for mats, _, _ in _word_levels(generators, self.depth)]
         seen = set()
         centers = []
-        for m, _ in group_words(generators, self.depth):
-            c = complex(mobius(m, self.base_point))
+        for c in mobius(np.concatenate(words), self.base_point).tolist():
             key = (round(c.real, 10), round(c.imag, 10))
             if key in seen:
                 continue
             seen.add(key)
             centers.append(c)
         self.all_centers = np.array(centers)
-        # A bump stays below prune_tol beyond hyperbolic distance `reach`
+        # A bump stays below PRUNE_TOL beyond hyperbolic distance `reach`
         # from its centre.
-        reach = self.sigma * np.sqrt(-2.0 * np.log(prune_tol))
+        reach = self.sigma * np.sqrt(-2.0 * np.log(PRUNE_TOL))
         self.centers = self.all_centers[
             dist_hp(self.all_centers, 1j) - VERTEX_RADIUS <= reach]
         need = (sector_dist(self.centers, np.arange(N_SECTORS)[:, None])

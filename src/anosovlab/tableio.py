@@ -149,14 +149,6 @@ def read_series(path) -> CorrelationSeries:
 
 # -- Laplace spectra ----------------------------------------------------------
 
-def write_spectrum(path, spectrum: LaplaceSpectrum, seed: int = 0,
-                   config_path=None) -> None:
-    rows = list(enumerate(spectrum.eigenvalues))
-    write_csv(path, ("index", "mu"), rows)
-    write_metadata(path, seed, config_path,
-                   extra={"area": spectrum.area, "source": spectrum.source})
-
-
 def read_spectrum(path) -> LaplaceSpectrum:
     header, rows = read_csv(path)
     if list(header) != ["index", "mu"]:
@@ -202,6 +194,14 @@ def write_resonances(path, resonances: ResonanceList) -> None:
         fh.write("[\n%s\n]\n" % body if body else "[]\n")
 
 
+def _json_number(rec: dict, key: str) -> float:
+    """A record's JSON number as a float; bools and strings are rejected."""
+    value = rec[key]
+    if type(value) not in (int, float):
+        raise ConfigError("%s must be a number, got %r" % (key, value))
+    return float(value)
+
+
 def read_resonances(path) -> ResonanceList:
     obj = read_json(path)
     if isinstance(obj, dict) and "modes" in obj:
@@ -214,12 +214,12 @@ def read_resonances(path) -> ResonanceList:
             if rec["provenance"] not in PROVENANCES:
                 raise ConfigError("provenance must be analytic or inverted, "
                                   "got %r" % (rec["provenance"],))
-            rows.append((float(rec["re"]), float(rec["im"]),
+            rows.append((_json_number(rec, "re"), _json_number(rec, "im"),
                          band_code(rec["band"]), rec["provenance"]))
         except KeyError as exc:
             raise ConfigError("%s: record %d lacks the key %s"
                               % (path, i, exc)) from None
-        except (ConfigError, TypeError, ValueError) as exc:
+        except (ConfigError, OverflowError, TypeError, ValueError) as exc:
             raise ConfigError("%s: record %d: %s" % (path, i, exc)) from None
     re, im, band, provenance = zip(*rows) if rows else ((),) * 4
     return ResonanceList(re, im, np.array(band, dtype=np.int64), provenance)

@@ -12,9 +12,22 @@ import os
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
+import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
-from anosovlab.model import build_model
+from anosovlab.fuchsian import cosh_dist_hp  # noqa: E402
+from anosovlab.model import build_model  # noqa: E402
+
+
+@pytest.fixture(scope="session")
+def in_polygon():
+    """in_polygon(domain, z, tol): whether each point is at least as close to
+    i as to every neighbouring centre, up to tol in cosh distance."""
+    def check(domain, z, tol=1e-12):
+        z = np.asarray(z, dtype=complex)
+        cj = cosh_dist_hp(z[..., None], domain.neighbor_base)
+        return cj.min(axis=-1) - cosh_dist_hp(z, 1j) >= -tol
+    return check
 
 
 @pytest.fixture(scope="session")

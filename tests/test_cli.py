@@ -1,6 +1,9 @@
 """End-to-end tests of the command line driver (in process)."""
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -23,6 +26,24 @@ windows = 30, 60
 word_length = 4
 max_closed = 40
 """
+
+
+def test_package_imports_load_no_scipy():
+    # scipy stays off every import path; the few calls that need it import
+    # it themselves (weyl's default ladder top, the sidecar's version).
+    import anosovlab
+
+    code = ("import pkgutil, sys, anosovlab\n"
+            "for m in pkgutil.iter_modules(anosovlab.__path__):\n"
+            "    __import__('anosovlab.' + m.name)\n"
+            "import anosovlab.cli\n"
+            "anosovlab.cli.build_parser()\n"
+            "print(' '.join(k for k in sys.modules if k.startswith('scipy')))")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(anosovlab.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == ""
 
 
 class TestExitCodes:
@@ -203,8 +224,9 @@ class TestArtifacts:
 
         t = 0.1 * np.arange(200)
         series = tmp_path / "series.csv"
-        write_series(series, CorrelationSeries.from_values(
-            0.1, np.exp(-0.5 * t) * np.cos(t) + 0.2 * np.exp(-2.0 * t)))
+        write_series(series, CorrelationSeries(
+            dt=0.1, values=np.exp(-0.5 * t) * np.cos(t) + 0.2 * np.exp(-2.0 * t),
+            stderr=np.zeros_like(t)))
         out = tmp_path / "modes.json"
         assert main(["invert", "--series", str(series), "--max-modes", "4",
                      "--quiet", "--out", str(out)]) == 0

@@ -19,18 +19,19 @@ from anosovlab.surface import octagon_area
 
 class TestCorrelationSeries:
     def test_times_grid(self):
-        s = CorrelationSeries.from_values(0.5, [1.0, 2.0, 3.0])
+        s = CorrelationSeries(dt=0.5, values=[1.0, 2.0, 3.0], stderr=[0, 0, 0])
         assert np.array_equal(s.times, [0.0, 0.5, 1.0])
         assert len(s) == 3
+        assert s.stderr.dtype == float
         assert np.array_equal(s.stderr, np.zeros(3))
 
     def test_rejects_bad_dt(self):
         with pytest.raises(ConfigError):
-            CorrelationSeries.from_values(0.0, [1.0, 2.0])
+            CorrelationSeries(dt=0.0, values=[1.0, 2.0], stderr=[0.0, 0.0])
 
     def test_rejects_short_series(self):
         with pytest.raises(ConfigError):
-            CorrelationSeries.from_values(0.1, [1.0])
+            CorrelationSeries(dt=0.1, values=[1.0], stderr=[0.0])
 
     def test_rejects_stderr_shape_mismatch(self):
         with pytest.raises(ConfigError):

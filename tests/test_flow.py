@@ -14,6 +14,7 @@ from anosovlab.flow import (
     AnosovReport,
     ExactEnsemble,
     MidpointEnsemble,
+    _ks_uniform,
     contact_check,
     dual_seeds,
     evaluate_observable,
@@ -273,10 +274,10 @@ def test_angle_harmonics_identity(exact_model):
     np.testing.assert_allclose(c * c + s * s, 1.0, atol=1e-12)
 
 
-def test_sample_liouville_inside_domain(perturbed_model):
+def test_sample_liouville_inside_domain(perturbed_model, in_polygon):
     rng = np.random.default_rng(69)
     z, th = sample_liouville(perturbed_model, 500, rng)
-    assert perturbed_model.domain.contains(z, tol=1e-9).all()
+    assert in_polygon(perturbed_model.domain, z, tol=1e-9).all()
     assert np.all((0 <= th) & (th < 2 * np.pi))
 
 
@@ -338,6 +339,21 @@ def test_liouville_ks(exact_model, perturbed_model):
     assert max(out.values()) < 0.04
     with pytest.raises(ConfigError):
         liouville_ks(perturbed_model)
+
+
+def test_ks_statistic_matches_scipy():
+    # Reference: the scipy.stats.kstest call liouville_ks used to make.
+    from scipy import stats
+
+    rng = np.random.default_rng(71)
+    samples = [rng.uniform(size=n) for n in (1, 2, 17, 1000)] + [
+        np.array([0.0, 0.5, 1.0]),
+        np.concatenate([rng.uniform(size=50), [0.0, 0.5, 1.0, 0.5, 0.0]]),
+        rng.uniform(-0.01, 1.01, 400),  # outside [0, 1] the CDF clips
+        rng.beta(2.0, 5.0, 300),
+    ]
+    for x in samples:
+        assert _ks_uniform(x) == stats.kstest(x, "uniform").statistic
 
 
 def test_verify_anosov_matches_per_direction_runs(perturbed_model):

@@ -7,12 +7,12 @@ from anosovlab.fuchsian import (
     TRANSLATION_LENGTH,
     VERTEX_RADIUS,
     DirichletDomain,
+    _word_levels,
     axis_seed,
     bolza_generators,
     closed_geodesic_elements,
     cosh_dist_hp,
     dist_hp,
-    group_words,
     halfplane_to_disk_angle,
     halfplane_to_matrix,
     matrix_angle_hp,
@@ -114,16 +114,12 @@ class TestDirichletReduction:
         self.gens = bolza_generators()
         self.domain = DirichletDomain(self.gens)
 
-    def test_radii(self):
-        assert self.domain.in_radius == pytest.approx(APOTHEM)
-        assert self.domain.out_radius == pytest.approx(VERTEX_RADIUS)
-
     def test_known_word_is_undone(self):
         rng = np.random.default_rng(5)
         # interior points, then push them out by various short words
         w0 = 0.3 * np.exp(1j * rng.uniform(0, 2 * np.pi, 30))
         z0 = to_halfplane(w0)
-        words = [m for m, _ in group_words(self.gens, 2, include_identity=False)]
+        words = [m for m, _ in _words(self.gens, 2)]
         for j in (0, 3, 17, 40):
             z = mobius(words[j], z0)
             xi = np.ones_like(z)
@@ -205,12 +201,21 @@ class TestDirichletReduction:
                 assert d1 <= dist_hp(a, b) + 1e-12
 
 
+def _words(g, max_len):
+    """(matrix, word) pairs of every level of ``_word_levels``; each word is
+    the tuple of letter indices rebuilt from the (parent, last) arrays."""
+    out, words = [], [()]
+    for mats, parent, last in _word_levels(g, max_len):
+        words = [words[p] + (j,) for p, j in zip(parent.tolist(), last.tolist())]
+        out += zip(mats, words)
+    return out
+
+
 def test_group_words_counts():
     g = bolza_generators()
-    # 8 letters, no immediate backtracking: 1 + 8 + 8*7 + 8*7^2
-    for max_len, expect in ((1, 9), (2, 65), (3, 457)):
-        assert sum(1 for _ in group_words(g, max_len)) == expect
-    assert sum(1 for _ in group_words(g, 1, include_identity=False)) == 8
+    # 8 letters, no immediate backtracking: 8 + 8*7 + 8*7^2 besides the identity
+    for max_len, expect in ((1, 8), (2, 64), (3, 456)):
+        assert len(_words(g, max_len)) == expect
 
 
 def _loop_words(g, max_len):
@@ -228,7 +233,7 @@ def _loop_words(g, max_len):
 def test_batched_words_match_loop_reference():
     g = bolza_generators()
     ref = _loop_words(g, 5)
-    got = list(group_words(g, 5, include_identity=False))
+    got = _words(g, 5)
     assert [wd for _, wd in got] == [wd for _, wd in ref]
     for (m, _), (r, _) in zip(got, ref):
         np.testing.assert_array_equal(m, r)

@@ -31,7 +31,6 @@ from anosovlab.tableio import (
     write_orbit_dump,
     write_resonances,
     write_series,
-    write_spectrum,
 )
 
 
@@ -155,7 +154,11 @@ class TestSpectrumTable:
         path = tmp_path / "mu.csv"
         spectrum = synthetic_weyl_spectrum(area=4.0 * np.pi, mu_max=30.0,
                                            jitter=0.2, seed=3)
-        write_spectrum(path, spectrum, seed=3)
+        # the layout `resonances --spectrum` reads: index,mu rows plus the
+        # area in the sidecar
+        write_csv(path, ("index", "mu"), enumerate(spectrum.eigenvalues))
+        write_metadata(path, 3, extra={"area": spectrum.area,
+                                       "source": spectrum.source})
         back = read_spectrum(path)
         assert back.area == spectrum.area
         assert np.array_equal(back.eigenvalues, spectrum.eigenvalues)
@@ -252,6 +255,9 @@ class TestResonanceTable:
         ("provenance", "guess", "provenance"),
         ("provenance", 0, "provenance"),
         ("re", None, "record 1"),
+        ("re", True, "record 1"),
+        ("im", "2.5", "record 1"),
+        ("re", 10 ** 400, "record 1"),  # no float holds it
     ])
     def test_rejects_bad_record_values(self, tmp_path, field, value, message):
         path = tmp_path / "bad.json"
