@@ -177,9 +177,10 @@ class DirichletDomain:
         active = np.flatnonzero(c0 > self._cosh_in)  # only these can be outside
         rounds = 0
         while len(active) and rounds < MAX_ROUNDS:
-            cj = cosh_dist_hp(z[active, None], self.neighbor_base)
-            jbest = np.argmin(cj, axis=1)
-            better = cj[np.arange(len(jbest)), jbest] < c0[active] * (1.0 - 1e-15)
+            # neighbour-major (8, n): the reductions run along the long axis
+            cj = cosh_dist_hp(z[active], self.neighbor_base[:, None])
+            jbest = np.argmin(cj, axis=0)
+            better = cj[jbest, np.arange(len(jbest))] < c0[active] * (1.0 - 1e-15)
             if not better.any():
                 break
             rounds += 1
@@ -215,9 +216,10 @@ class DirichletDomain:
         continuous across the polygon boundary in any case; that covers every
         use here (bump observables with a few-sigma reach).
         """
-        z = np.asarray(z, dtype=complex)[..., None]
+        z = np.asarray(z, dtype=complex)
         reps = np.concatenate([[w], mobius(self.neighbors, w)])
-        return cosh_dist_hp(z, reps).min(axis=-1)
+        # translate-major (9, *z.shape), reduced along the leading axis
+        return cosh_dist_hp(z, reps.reshape((9,) + (1,) * z.ndim)).min(axis=0)
 
     def quotient_dist(self, z, w):
         return np.arccosh(np.maximum(1.0, self.quotient_cosh_dist(z, w)))
@@ -230,7 +232,12 @@ class DirichletDomain:
         g = np.asarray(g)
 
         def move(sel, m):
-            moved = np.einsum("nab,nbc->nac", m, g[sel])
+            # the 2x2 products written out: the same bits as einsum, faster
+            h = g[sel]
+            moved = np.empty_like(h)
+            for i in range(2):
+                for j in range(2):
+                    moved[:, i, j] = m[:, i, 0] * h[:, 0, j] + m[:, i, 1] * h[:, 1, j]
             g[sel] = moved
             return matrix_base_point(moved)
 

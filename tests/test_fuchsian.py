@@ -109,6 +109,41 @@ def _per_neighbour_reduce(domain, z, move):
     return rounds, mixed
 
 
+def _point_major_reduce(domain, z, move):
+    """Reference reduction loop with the point-major (n, 8) neighbour table
+    and ``argmin(axis=1)``, one gathered ``move`` per sweep."""
+    c0 = cosh_dist_hp(z, 1j)
+    active = np.flatnonzero(c0 > domain._cosh_in)
+    rounds = 0
+    while len(active) and rounds < 64:
+        cj = cosh_dist_hp(z[active, None], domain.neighbor_base)
+        jbest = np.argmin(cj, axis=1)
+        better = cj[np.arange(len(jbest)), jbest] < c0[active] * (1.0 - 1e-15)
+        if not better.any():
+            break
+        rounds += 1
+        idx = active[better]
+        z[idx] = move(idx, domain.neighbors_inv[jbest[better]])
+        c0[idx] = cosh_dist_hp(z[idx], 1j)
+        active = idx[c0[idx] > domain._cosh_in]
+    return rounds
+
+
+def _near_ties(gens):
+    """Half-plane points within 1e-12 (in the disk) of the octagon's edge
+    midpoints and vertices, on both sides, plus their images under each
+    generator and its inverse, so that reductions pass through ties."""
+    gen8 = np.concatenate([gens, np.linalg.inv(gens)])
+    k = np.arange(8)[:, None]
+    rad = np.array([-1e-12, 0.0, 1e-12])
+    w = np.concatenate([
+        (np.tanh(0.5 * APOTHEM) + rad) * np.exp(1j * k * np.pi / 4.0),
+        (np.tanh(0.5 * VERTEX_RADIUS) + rad) * np.exp(1j * (k + 0.5) * np.pi / 4.0),
+    ]).ravel()
+    z = to_halfplane(w)
+    return np.concatenate([z, mobius(gen8[:, None], z).ravel()])
+
+
 class TestDirichletReduction:
     def setup_method(self):
         self.gens = bolza_generators()
@@ -188,6 +223,57 @@ class TestDirichletReduction:
         np.testing.assert_array_equal(zr, ref_z)
         np.testing.assert_array_equal(xir, ref_xi)
         assert rounds == ref_rounds
+
+    def test_layout_matches_point_major_loop(self):
+        rng = np.random.default_rng(7)
+        z7 = rng.uniform(-4, 4, 40) + 1j * rng.uniform(0.05, 6.0, 40)
+        th7 = rng.uniform(0, 2 * np.pi, 40)
+        zt = _near_ties(self.gens)
+        z = np.concatenate([z7, zt])
+        th = np.concatenate([th7, rng.uniform(0, 2 * np.pi, len(zt))])
+        # ties are present: some points are as close to a neighbouring
+        # centre as to i, to 1e-9 in cosh distance
+        gap = (cosh_dist_hp(zt[:, None], self.domain.neighbor_base).min(axis=1)
+               - cosh_dist_hp(zt, 1j))
+        assert np.sum(np.abs(gap) < 1e-9) >= 16
+
+        g = halfplane_to_matrix(z, th)
+        ref_g = g.copy()
+
+        def move_matrices(sel, m):
+            moved = np.einsum("nab,nbc->nac", m, ref_g[sel])
+            ref_g[sel] = moved
+            return matrix_base_point(moved)
+
+        ref_rounds = _point_major_reduce(self.domain, matrix_base_point(ref_g),
+                                         move_matrices)
+        assert self.domain.reduce_matrices(g) == ref_rounds
+        np.testing.assert_array_equal(g, ref_g)
+
+        xi = np.exp(1j * th) / z.imag
+        ref_z, ref_xi = z.copy(), xi.copy()
+
+        def move_points(sel, m):
+            q = m[:, 1, 0] * ref_z[sel] + m[:, 1, 1]
+            ref_xi[sel] = ref_xi[sel] * np.conj(q * q)
+            return mobius(m, ref_z[sel])
+
+        ref_rounds = _point_major_reduce(self.domain, ref_z, move_points)
+        zr, xir, rounds = self.domain.reduce_points(z, xi)
+        assert rounds == ref_rounds
+        np.testing.assert_array_equal(zr, ref_z)
+        np.testing.assert_array_equal(xir, ref_xi)
+
+        # quotient distances from reduced points, to a centre on an edge,
+        # at a vertex and inside, in 1-d and 2-d layouts
+        for w in (zt[1], zt[4], 0.2 + 1.1j):
+            reps = np.concatenate([[w], mobius(self.domain.neighbors, w)])
+            ref = cosh_dist_hp(zr[:, None], reps).min(axis=-1)
+            np.testing.assert_array_equal(
+                self.domain.quotient_cosh_dist(zr, w), ref)
+            np.testing.assert_array_equal(
+                self.domain.quotient_cosh_dist(zr[:60].reshape(4, 15), w),
+                ref[:60].reshape(4, 15))
 
     def test_quotient_distance_symmetry(self):
         rng = np.random.default_rng(8)
