@@ -10,6 +10,11 @@ the batch-means error across the N orbits (Flyvbjerg and Petersen, J. Chem.
 Phys. 91, 461 (1989)).  The orbits only run forwards, after a burn-in when
 u or v needs the expansion rate, so a perturbed model's cocycle is never
 integrated backwards.
+
+Each orbit is sampled LAGS_PER_REDUCTION grid points per ``sample`` call.
+At constant curvature every point of such a batch is one exact jump from
+the batch's reduced start, and the whole batch is reduced into the polygon
+in one call; the midpoint backend steps through the batch point by point.
 """
 from __future__ import annotations
 
@@ -109,6 +114,10 @@ def mean_zero(model: FlowModel, spec: ObservableSpec) -> ObservableSpec:
     return dataclasses.replace(spec, c_const=spec.c_const - m)
 
 
+# Grid points per ``sample`` call (module docstring); 4 ran faster than 6 or 8.
+LAGS_PER_REDUCTION = 4
+
+
 def orbit_plan(n_lags: int, n_samples: int) -> Tuple[int, int, int]:
     """(n_orbits, stride s, orbit length L): each orbit counts 20 start points
     s = ceil(n_lags / 20) grid steps apart, and the points between them too."""
@@ -142,9 +151,12 @@ def correlation_series(model: FlowModel, u: ObservableSpec, v: ObservableSpec,
             raise ConfigError("dt must be a positive multiple of the model step")
     vol = 2.0 * np.pi * model.area
     z, th = sample_liouville(model, n_orbits, np.random.default_rng(seed))
-    chunk = max(2, 1_000_000 // length) if chunk is None else int(chunk)
-    if chunk < 1:
-        raise ConfigError("chunk must be at least 1 orbit")
+    if chunk is None:
+        chunk = max(2, 1_000_000 // length)
+    elif isinstance(chunk, bool) or int(chunk) != chunk or chunk < 1:
+        raise ConfigError("chunk must be a whole number of orbits, at least 1; "
+                          "got %r" % (chunk,))
+    chunk = int(chunk)
     # lag means shifted by the first orbit's keep the variance's digits; FFTs
     # over 64 kB of samples at a time keep their temporaries off the peak RSS
     group = max(1, 8_192 // length)
@@ -155,13 +167,13 @@ def correlation_series(model: FlowModel, u: ObservableSpec, v: ObservableSpec,
             ens.burn_in()
         a = np.empty((length, ens.n))
         b = a if u == v else np.empty_like(a)
-        for j in range(length):
-            if j > 0:
-                ens.advance(dt)
-            states = ens.states()
-            a[j] = evaluate_observable(model, u, *states)
+        # grid point 0, then blocks of LAGS_PER_REDUCTION grid points
+        edges = [0, *range(1, length, LAGS_PER_REDUCTION), length]
+        for lo, hi in zip(edges, edges[1:]):
+            states = ens.sample(dt, hi - lo) if lo else ens.states()
+            a[lo:hi] = evaluate_observable(model, u, *states)
             if b is not a:
-                b[j] = evaluate_observable(model, v, *states)
+                b[lo:hi] = evaluate_observable(model, v, *states)
         for k in range(0, ens.n, group):
             means = _lag_means(a[:, k:k + group], b[:, k:k + group], n_lags)
             if ref is None:

@@ -2,7 +2,8 @@
 
 Two interchangeable backends move ensembles of unit (co)tangent vectors;
 ``make_ensemble`` picks one by model kind, and callers use only the contract
-the two share (``advance``, ``burn_in``, ``states``):
+the two share (``advance``, ``burn_in``, ``states``, and ``sample``, which
+returns the states at k equally spaced times at once):
 
 * ``ExactEnsemble`` (constant curvature only): states are unit-determinant
   matrices, the flow is right multiplication by diag(e^{t/2}, e^{-t/2}),
@@ -88,6 +89,15 @@ def _step_count(model: FlowModel, T: float, h: float) -> int:
     return n_steps
 
 
+def _check_lags(model: FlowModel, dt: float, k: int) -> None:
+    """The error ``sample(dt, k)`` raises, if any."""
+    if k < 1:
+        raise ConfigError("sample needs at least one lag, got k = %r" % (k,))
+    if abs(k * dt) > model.horizon:
+        raise HorizonError("|k dt| = %g exceeds the configured horizon %g"
+                           % (abs(k * dt), model.horizon))
+
+
 def _shape(model: FlowModel):
     """The perturbation shape, which the shape observable term needs."""
     if model.shape is None:
@@ -164,15 +174,32 @@ class ExactEnsemble:
         if abs(T) > self.model.horizon:
             raise HorizonError("|T| = %g exceeds the configured horizon %g"
                                % (abs(T), self.model.horizon))
-        e = np.exp(0.5 * T)
-        self.g[..., 0] *= e
-        self.g[..., 1] /= e
-        self.model.domain.reduce_matrices(self.g)
-        det = (self.g[..., 0, 0] * self.g[..., 1, 1]
-               - self.g[..., 0, 1] * self.g[..., 1, 0])
-        self.g /= np.sqrt(det)[..., None, None]
+        self.g = self._jumped(np.array([T]))[0]
         self.t += T
         return np.zeros((0, self.n))
+
+    def sample(self, dt: float, k: int):
+        """States (z, theta_h, u), each (k, n), at dt, 2 dt, ..., k dt from
+        now; the ensemble is left at k dt.  Each lag is one jump from the
+        current matrices, and all k n jumps share one reduction call."""
+        _check_lags(self.model, dt, k)
+        g = self._jumped(dt * np.arange(1, k + 1))
+        self.g = g[-1].copy()
+        self.t += k * dt
+        return matrix_base_point(g), matrix_angle_hp(g), np.ones(g.shape[:2])
+
+    def _jumped(self, times):
+        """The current matrices flowed by each of ``times``, reduced into the
+        polygon and renormalised to unit determinant, shape (k, n, 2, 2)."""
+        e = np.exp(0.5 * times)[:, None, None]
+        g = np.empty(times.shape + self.g.shape)
+        g[..., 0] = self.g[..., 0] * e
+        g[..., 1] = self.g[..., 1] / e
+        flat = g.reshape(-1, 2, 2)
+        self.model.domain.reduce_matrices(flat)
+        det = flat[:, 0, 0] * flat[:, 1, 1] - flat[:, 0, 1] * flat[:, 1, 0]
+        flat /= np.sqrt(det)[:, None, None]
+        return g
 
     def burn_in(self):
         """u = 1 is already the unstable solution; nothing to relax."""
@@ -291,6 +318,17 @@ class MidpointEnsemble:
             if record is not None:
                 record(self)
         return totals * self.h
+
+    def sample(self, dt: float, k: int):
+        """States (z, theta_h, u), each (k, n), after each of k advances by
+        dt; the same bits as k calls of ``advance`` and ``states``."""
+        _check_lags(self.model, dt, k)
+        rows = []
+        for _ in range(k):
+            self.advance(dt)
+            rows.append(self.states())
+        z, th, u = zip(*rows)
+        return np.stack(z), np.stack(th), None if u[0] is None else np.stack(u)
 
     def burn_in(self):
         """Relax the Riccati variable onto the unstable solution.

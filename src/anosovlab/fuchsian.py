@@ -171,18 +171,26 @@ class DirichletDomain:
         point that has a strictly closer neighbour in one gathered call.
         Later sweeps touch only the points that moved in the previous one and
         still sit outside the inscribed circle; everything else is already
-        reduced.  Returns the number of sweeps used, at most MAX_ROUNDS.
+        reduced.  Returns the number of sweeps used, at most MAX_ROUNDS;
+        raises StepSizeError when a point is still outside after that many.
         """
         c0 = cosh_dist_hp(z, 1j)
         active = np.flatnonzero(c0 > self._cosh_in)  # only these can be outside
         rounds = 0
-        while len(active) and rounds < MAX_ROUNDS:
+        while len(active):
             # neighbour-major (8, n): the reductions run along the long axis
             cj = cosh_dist_hp(z[active], self.neighbor_base[:, None])
             jbest = np.argmin(cj, axis=0)
             better = cj[jbest, np.arange(len(jbest))] < c0[active] * (1.0 - 1e-15)
             if not better.any():
                 break
+            if rounds == MAX_ROUNDS:
+                from .errors import StepSizeError
+
+                raise StepSizeError(
+                    "%d points are still outside the fundamental polygon after "
+                    "%d reduction sweeps; the step or jump is too long"
+                    % (better.sum(), MAX_ROUNDS))
             rounds += 1
             idx = active[better]
             z[idx] = move(idx, self.neighbors_inv[jbest[better]])

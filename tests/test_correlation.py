@@ -141,11 +141,18 @@ class TestCorrelationSeriesEstimator:
             correlation_series(exact_model, spec, spec, dt=0.5, n_lags=5,
                                n_samples=20000, seed=9, chunk=0)
 
+    @pytest.mark.parametrize("chunk", [2.5, True])
+    def test_rejects_a_fractional_or_bool_chunk(self, exact_model, chunk):
+        spec = ObservableSpec(c_cos=1.0)
+        with pytest.raises(ConfigError, match="chunk"):
+            correlation_series(exact_model, spec, spec, dt=0.5, n_lags=5,
+                               n_samples=200, seed=9, chunk=chunk)
+
     def test_exact_stream_digest(self, exact_model):
         # Pins the bits of the exact-backend stream: 600 orbits of 585 grid
-        # points, each step left-multiplied back into the octagon by
-        # reduce_matrices.  Recorded before each reduction sweep became one
-        # gathered product (x86-64 with AVX-512, numpy 2.4).
+        # points, sampled LAGS_PER_REDUCTION = 4 lags per reduce_matrices
+        # call, each lag one jump from the last reduced state.  Recorded when
+        # that batching was introduced (x86-64 with AVX-512, numpy 2.4).
         spec = mean_zero(exact_model, ObservableSpec(c_bump=1.0))
         series = correlation_series(exact_model, spec, spec, dt=0.2,
                                     n_lags=300, n_samples=12000, seed=11)
@@ -153,7 +160,7 @@ class TestCorrelationSeriesEstimator:
         digest.update(series.values.tobytes())
         digest.update(series.stderr.tobytes())
         assert digest.hexdigest() == (
-            "c9c17ad679e6562326ec080295f5b5807c9b11e4a4ba861fb8d80a4f0e6927b8")
+            "27df31d45b1393f00b609de826a4ed81acb20b367a7b0d19b9dff3e4a5bbf58c")
 
     def test_forward_route_on_stationary_expansion(self):
         # epsilon = 0 keeps curvature at -1, so after burn-in the expansion

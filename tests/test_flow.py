@@ -9,6 +9,7 @@ from anosovlab.errors import (
     ConfigError,
     HorizonError,
     RiccatiBlowupError,
+    StepSizeError,
 )
 from anosovlab.flow import (
     AnosovReport,
@@ -213,6 +214,45 @@ def test_ensemble_contract(fixture, request):
                                 *back.states())
         with pytest.raises(ValueError):
             back.advance(-0.5, [spec])
+
+    # sample(dt, k): the states at dt, ..., k dt at once, ending at k dt
+    dt, k = 4 * model.step, 3
+    batch = make_ensemble(model, z, th).burn_in()
+    steps = make_ensemble(model, z, th).burn_in()
+    t0 = batch.t
+    got = batch.sample(dt, k)
+    assert [x.shape for x in got] == [(k, 10)] * 3
+    assert batch.t == pytest.approx(t0 + k * dt, abs=1e-12)
+    ref = []
+    for _ in range(k):
+        steps.advance(dt)
+        ref.append(steps.states())
+    ref = [np.stack(r) for r in zip(*ref)]
+    if model.is_exact:
+        # one jump per lag instead of a chain of jumps: equal up to roundoff
+        for m in range(k):
+            for j in range(10):
+                assert model.domain.quotient_dist(
+                    got[0][m, j:j + 1], ref[0][m, j])[0] < 1e-9
+        np.testing.assert_array_equal(got[2], 1.0)
+    else:
+        for x, r in zip(got, ref):
+            np.testing.assert_array_equal(x, r)
+        for x, r in zip(batch.states(), steps.states()):
+            np.testing.assert_array_equal(x, r)
+    with pytest.raises(ConfigError):
+        batch.sample(dt, 0)
+    with pytest.raises(HorizonError):
+        batch.sample(dt, int(model.horizon / dt) + 1)
+
+
+def test_reduction_cap_raises(exact_model):
+    # one jump of 2000 Liouville points: T = 60 needs fewer than MAX_ROUNDS
+    # reduction sweeps, T = 100 leaves points outside after the cap
+    z, th = sample_liouville(exact_model, 2000, np.random.default_rng(68))
+    ExactEnsemble.from_states(exact_model, z, th).advance(60.0)
+    with pytest.raises(StepSizeError):
+        ExactEnsemble.from_states(exact_model, z, th).advance(100.0)
 
 
 def test_guards(exact_model, perturbed_model):

@@ -2,8 +2,10 @@
 import numpy as np
 import pytest
 
+from anosovlab.errors import StepSizeError
 from anosovlab.fuchsian import (
     APOTHEM,
+    MAX_ROUNDS,
     TRANSLATION_LENGTH,
     VERTEX_RADIUS,
     DirichletDomain,
@@ -274,6 +276,30 @@ class TestDirichletReduction:
             np.testing.assert_array_equal(
                 self.domain.quotient_cosh_dist(zr[:60].reshape(4, 15), w),
                 ref[:60].reshape(4, 15))
+
+    def test_reduction_cap_raises_in_both_forms(self):
+        # states flowed by diag(e^{T/2}, e^{-T/2}) from inside the polygon:
+        # T = 60 reduces within MAX_ROUNDS sweeps, T = 100 does not
+        rng = np.random.default_rng(9)
+        w = 0.5 * np.sqrt(rng.uniform(size=500)) * np.exp(
+            2j * np.pi * rng.uniform(size=500))
+        th = rng.uniform(0, 2 * np.pi, 500)
+
+        def flowed(T):
+            g = halfplane_to_matrix(to_halfplane(w), th)
+            g[..., 0] *= np.exp(0.5 * T)
+            g[..., 1] /= np.exp(0.5 * T)
+            z = matrix_base_point(g)
+            return g, z, np.exp(1j * matrix_angle_hp(g)) / z.imag
+
+        g, z, xi = flowed(60.0)
+        assert self.domain.reduce_matrices(g) <= MAX_ROUNDS
+        assert self.domain.reduce_points(z, xi)[2] <= MAX_ROUNDS
+        g, z, xi = flowed(100.0)
+        with pytest.raises(StepSizeError, match="after 64 reduction sweeps"):
+            self.domain.reduce_matrices(g)
+        with pytest.raises(StepSizeError, match="after 64 reduction sweeps"):
+            self.domain.reduce_points(z, xi)
 
     def test_quotient_distance_symmetry(self):
         rng = np.random.default_rng(8)

@@ -148,14 +148,16 @@ def stream_series(exact_model):
 
 def test_exact_stream_modes_digest(stream_series):
     # Pins the bits of the matrix pencil and the amplitude solve, recorded
-    # while both still ran on scipy.linalg (x86-64 with AVX-512, numpy 2.4).
+    # with the stream test_exact_stream_digest pins (x86-64 with AVX-512,
+    # numpy 2.4); test_numpy_pencil_matches_scipy_linalg checks the same
+    # series against scipy.linalg.
     modes = harmonic_inversion(stream_series, max_modes=4, sv_threshold=1e-3)
     digest = hashlib.sha256()
     for part in (modes.z, modes.amplitude, modes.singular_values,
                  np.float64(modes.residual)):
         digest.update(np.ascontiguousarray(part).tobytes())
     assert digest.hexdigest() == (
-        "4a5521fcf0e72a48012251a45ac0475e6a03c9d7e6ebce0dae359b9f10f35d2e")
+        "e9f486761a5bb04297c55aa1d34c5800d722d740a1746a02e7cea36816c9f0cf")
 
 
 def _series_inputs(stream_series):
