@@ -181,20 +181,6 @@ def _edges_from_averages(avgs: WindowAverages, k: int,
     )
 
 
-def _check_band_index(k: int) -> None:
-    if k < 0:
-        raise ConfigError("band index must be nonnegative, got %d" % k)
-
-
-def band_edges(model: FlowModel, potential: PotentialSpec, k: int,
-               plan: Optional[SamplingPlan] = None) -> BandEdges:
-    """Edges of band k; see band_edges_upto for sharing work across k."""
-    _check_band_index(k)
-    plan = plan or SamplingPlan()
-    avgs = window_averages(model, potential, plan)
-    return _edges_from_averages(avgs, k, plan)
-
-
 def band_edges_upto(model: FlowModel, potential: PotentialSpec, k_max: int,
                     plan: Optional[SamplingPlan] = None) -> list:
     """Edges for k = 0..k_max from a single ensemble pass.
@@ -202,7 +188,8 @@ def band_edges_upto(model: FlowModel, potential: PotentialSpec, k_max: int,
     Asserts the strict band ordering gamma^{+/-}(k+1) < gamma^{+/-}(k),
     which holds because u > 0.
     """
-    _check_band_index(k_max)
+    if k_max < 0:
+        raise ConfigError("band index must be nonnegative, got %d" % k_max)
     plan = plan or SamplingPlan()
     avgs = window_averages(model, potential, plan)
     out = [_edges_from_averages(avgs, k, plan) for k in range(k_max + 1)]

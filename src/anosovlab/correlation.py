@@ -116,6 +116,8 @@ def mean_zero(model: FlowModel, spec: ObservableSpec) -> ObservableSpec:
 
 # Grid points per ``sample`` call (module docstring); 4 ran faster than 6 or 8.
 LAGS_PER_REDUCTION = 4
+# Orbit grid points held at once; the orbits stream in blocks of this size.
+POINTS_HELD = 1_000_000
 
 
 def orbit_plan(n_lags: int, n_samples: int) -> Tuple[int, int, int]:
@@ -127,12 +129,12 @@ def orbit_plan(n_lags: int, n_samples: int) -> Tuple[int, int, int]:
 
 def correlation_series(model: FlowModel, u: ObservableSpec, v: ObservableSpec,
                        dt: float = 0.05, n_lags: int = 4000,
-                       n_samples: int = 100000, seed: int = 23,
-                       chunk: Optional[int] = None) -> CorrelationSeries:
+                       n_samples: int = 100000,
+                       seed: int = 23) -> CorrelationSeries:
     """Monte Carlo estimate of C_{u,v} on the lag grid m dt, m < n_lags.
 
     ``n_samples`` counts Liouville start points per lag, 20 to an orbit (see
-    ``orbit_plan``); ``chunk`` is the number of orbits held at once.
+    ``orbit_plan``).
     """
     if n_lags < 2:
         raise ConfigError("n_lags must be at least 2")
@@ -151,12 +153,7 @@ def correlation_series(model: FlowModel, u: ObservableSpec, v: ObservableSpec,
             raise ConfigError("dt must be a positive multiple of the model step")
     vol = 2.0 * np.pi * model.area
     z, th = sample_liouville(model, n_orbits, np.random.default_rng(seed))
-    if chunk is None:
-        chunk = max(2, 1_000_000 // length)
-    elif isinstance(chunk, bool) or int(chunk) != chunk or chunk < 1:
-        raise ConfigError("chunk must be a whole number of orbits, at least 1; "
-                          "got %r" % (chunk,))
-    chunk = int(chunk)
+    chunk = max(2, POINTS_HELD // length)
     # lag means shifted by the first orbit's keep the variance's digits; FFTs
     # over 64 kB of samples at a time keep their temporaries off the peak RSS
     group = max(1, 8_192 // length)

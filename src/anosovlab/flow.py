@@ -1,32 +1,31 @@
 """Time evolution, unstable expansion rates, and flow-level certificates.
 
-Two interchangeable backends move ensembles of unit (co)tangent vectors;
-``make_ensemble`` picks one by model kind, and callers use only the contract
-the two share (``advance``, ``burn_in``, ``states``, and ``sample``, which
-returns the states at k equally spaced times at once):
+Two interchangeable backends move ensembles of unit (co)tangent vectors
+forwards in time; ``make_ensemble`` picks one by model kind, and callers use
+only the contract the two share (``advance``, ``burn_in``, ``states``, and
+``sample``, which returns the states at k equally spaced times at once).
+Every state triple (z, theta, u) carries the unstable rate u.
 
 * ``ExactEnsemble`` (constant curvature only): states are unit-determinant
   matrices, the flow is right multiplication by diag(e^{t/2}, e^{-t/2}),
-  and the unstable expansion rate is identically 1.
+  ``advance`` is one jump by a signed time, and u is identically 1, so
+  orbit integrals are closed forms and none is taken.
 * ``MidpointEnsemble`` (any conformal factor): states are half-plane
   positions z and covectors xi of the Hamiltonian H = e^{-2 psi} y^2 |xi|^2/2
-  on the level H = 1/2, advanced by the implicit midpoint rule with a fixed
-  iteration count, so runs are bit-reproducible.  The unstable rate u rides
+  on the level H = 1/2, advanced by the implicit midpoint rule at the model
+  step with a fixed iteration count, so runs are bit-reproducible.  u rides
   along through the Riccati equation du/dt = -K - u^2, whose attracting
-  solution is reached by a forward burn-in; u is never integrated backwards
-  in time, because the unstable solution repels in that direction.  Averages
-  of the past orbit are obtained instead as forward averages from a shifted
-  start, which is the same quantity by the change of variables
-  s -> t - s along the orbit.
-
-All Birkhoff-type integrals use the integrator's own midpoints (one sample
-per step), so an integral over [0, T1 + T2] equals the sum of the integrals
-over consecutive advances, exactly.
+  solution is reached by a forward burn-in; it repels backwards in time, so
+  this backend only steps forwards.  Past averages are forward averages from
+  a shifted start (s -> t - s along the orbit), and the backward flow is the
+  forward flow of the reversed covector.  ``advance`` integrates observables
+  at the scheme's own midpoints (one sample per step), so an integral over
+  [0, T1 + T2] equals the sum over consecutive advances, exactly.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -114,9 +113,7 @@ def evaluate_observable(model: FlowModel, spec: ObservableSpec, z,
         val += spec.c_shape * _shape(model).value(z)
     if spec.c_u_half != 0.0:
         if u is None:
-            if not model.is_exact:
-                raise ValueError("observable needs u but none was supplied")
-            u = 1.0
+            raise ValueError("observable needs u but none was supplied")
         val += spec.c_u_half * 0.5 * np.asarray(u)
     if spec.c_cos != 0.0 or spec.c_sin != 0.0:
         if theta_h is None:
@@ -158,25 +155,13 @@ class ExactEnsemble:
         z = matrix_base_point(self.g)
         return z, matrix_angle_hp(self.g), np.ones(len(self.g))
 
-    def advance(self, T: float, observables: Sequence[ObservableSpec] = ()):
-        """One exact jump by T; with observables, T is a nonnegative multiple
-        of the model step, and each step samples them once, at its midpoint."""
-        if observables:
-            h = self.model.step
-            totals = np.zeros((len(observables), self.n))
-            for _ in range(_step_count(self.model, T, h)):
-                self.advance(0.5 * h)
-                z, th, u = self.states()
-                for i, spec in enumerate(observables):
-                    totals[i] += evaluate_observable(self.model, spec, z, th, u)
-                self.advance(0.5 * h)
-            return totals * h
+    def advance(self, T: float) -> None:
+        """One exact jump by the signed time T."""
         if abs(T) > self.model.horizon:
             raise HorizonError("|T| = %g exceeds the configured horizon %g"
                                % (abs(T), self.model.horizon))
         self.g = self._jumped(np.array([T]))[0]
         self.t += T
-        return np.zeros((0, self.n))
 
     def sample(self, dt: float, k: int):
         """States (z, theta_h, u), each (k, n), at dt, 2 dt, ..., k dt from
@@ -217,11 +202,9 @@ class MidpointEnsemble:
 
     n_iter = 4  # fixed-point iterations per step; fixed for reproducibility
 
-    def __init__(self, model: FlowModel, z, theta_h, h: Optional[float] = None):
+    def __init__(self, model: FlowModel, z, theta_h):
         self.model = model
-        self.h = float(model.step if h is None else h)
-        if not 0.0 < abs(self.h) <= 0.5:
-            raise ConfigError("step magnitude must lie in (0, 0.5]")
+        self.h = model.step
         self.z = np.array(z, dtype=complex)
         psi = model.psi(self.z)
         self.xi = (np.exp(psi) / self.z.imag) * np.exp(
@@ -235,8 +218,8 @@ class MidpointEnsemble:
         return len(self.z)
 
     def states(self):
-        """(z, theta_h, u); a reverse ensemble (h < 0) never transports u."""
-        return self.z, np.angle(self.xi), self.u if self.h > 0.0 else None
+        """(z, theta_h, u) of the current ensemble, reduced."""
+        return self.z, np.angle(self.xi), self.u
 
     def energy(self):
         psi = self.model.psi(self.z)
@@ -267,29 +250,24 @@ class MidpointEnsemble:
         centers = None if shape is None else shape.sector_centers(z0)
         for i in range(self.n_iter):
             # The Riccati update reads the curvature of the last force
-            # evaluation only, and backward steps never read it.
-            last = i == self.n_iter - 1 and h > 0.0
+            # evaluation only.
+            last = i == self.n_iter - 1
             vz, vxi, curv = self._force(mz, mxi, last, centers)
             mz = z0 + 0.5 * h * vz
             mxi = xi0 + 0.5 * h * vxi
         self.z = 2.0 * mz - z0
         self.xi = 2.0 * mxi - xi0
-        if h > 0.0:
-            # Riccati du/dt = -K - u^2 by the same midpoint rule; the
-            # midpoint value solves a quadratic, so no iteration is needed.
-            # The unstable solution repels backwards in time, so negative
-            # steps transport positions only and leave u untouched.
-            a = 0.5 * h
-            disc = 1.0 + 4.0 * a * (self.u - a * curv)
-            umid = (np.sqrt(np.maximum(disc, 0.0)) - 1.0) / (2.0 * a)
-            self.u = 2.0 * umid - self.u
-            if np.any(~np.isfinite(self.u)) or np.any(np.abs(self.u) > _RICCATI_CAP):
-                raise RiccatiBlowupError(
-                    "unstable rate left [-%g, %g]; the model is not safely "
-                    "hyperbolic at this step size" % (_RICCATI_CAP, _RICCATI_CAP)
-                )
-        else:
-            umid = None
+        # Riccati du/dt = -K - u^2 by the same midpoint rule; the midpoint
+        # value solves a quadratic, so no iteration is needed.
+        a = 0.5 * h
+        disc = 1.0 + 4.0 * a * (self.u - a * curv)
+        umid = (np.sqrt(np.maximum(disc, 0.0)) - 1.0) / (2.0 * a)
+        self.u = 2.0 * umid - self.u
+        if np.any(~np.isfinite(self.u)) or np.any(np.abs(self.u) > _RICCATI_CAP):
+            raise RiccatiBlowupError(
+                "unstable rate left [-%g, %g]; the model is not safely "
+                "hyperbolic at this step size" % (_RICCATI_CAP, _RICCATI_CAP)
+            )
         self.z, self.xi, rounds = self.model.domain.reduce_points(self.z, self.xi)
         if rounds >= 16:
             raise StepSizeError(
@@ -299,24 +277,17 @@ class MidpointEnsemble:
         self.t += h
         return mz, np.angle(mxi), umid
 
-    def advance(self, T: float, observables: Sequence[ObservableSpec] = (),
-                record=None):
+    def advance(self, T: float, observables: Sequence[ObservableSpec] = ()):
         """Advance by T, integrating observables at the scheme's midpoints.
 
-        Returns an array (len(observables), n) of integrals over this
-        advance.  ``record(ensemble)`` runs after every step when given.
+        Returns an array (len(observables), n) of integrals over this advance.
         """
         n_steps = _step_count(self.model, T, self.h)
         totals = np.zeros((len(observables), self.n))
         for _ in range(n_steps):
             mz, mth, mu = self.step()
-            if observables:
-                for i, spec in enumerate(observables):
-                    totals[i] += evaluate_observable(
-                        self.model, spec, mz, mth, mu
-                    )
-            if record is not None:
-                record(self)
+            for i, spec in enumerate(observables):
+                totals[i] += evaluate_observable(self.model, spec, mz, mth, mu)
         return totals * self.h
 
     def sample(self, dt: float, k: int):
@@ -328,7 +299,7 @@ class MidpointEnsemble:
             self.advance(dt)
             rows.append(self.states())
         z, th, u = zip(*rows)
-        return np.stack(z), np.stack(th), None if u[0] is None else np.stack(u)
+        return np.stack(z), np.stack(th), np.stack(u)
 
     def burn_in(self):
         """Relax the Riccati variable onto the unstable solution.
@@ -340,20 +311,19 @@ class MidpointEnsemble:
         return self
 
 
-def make_ensemble(model: FlowModel, z, theta_h, reverse: bool = False):
-    """The backend for the model kind, seeded at (z, theta); a reverse one
-    steps back in time, and ``advance`` then takes negative T."""
+def make_ensemble(model: FlowModel, z, theta_h):
+    """The backend for the model kind, seeded at (z, theta)."""
     if model.is_exact:
         return ExactEnsemble.from_states(model, z, theta_h)
-    return MidpointEnsemble(model, z, theta_h=theta_h,
-                            h=-model.step if reverse else None)
+    return MidpointEnsemble(model, z, theta_h)
 
 
 def flow_map(model: FlowModel, z, theta_h, t: float):
-    """Advance states by a signed time t and return (z, theta_h), reduced."""
+    """Advance states by t and return (z, theta_h), reduced; t may be
+    negative at constant curvature only."""
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     theta_h = np.atleast_1d(np.asarray(theta_h, dtype=float))
-    ens = make_ensemble(model, z, theta_h, reverse=t < 0)
+    ens = make_ensemble(model, z, theta_h)
     ens.advance(t)
     zz, th, _ = ens.states()
     return zz, np.mod(th, 2.0 * np.pi)

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from anosovlab.birkhoff import SamplingPlan, band_edges, band_edges_upto
+from anosovlab.birkhoff import SamplingPlan, band_edges_upto
 from anosovlab.catalog import (
     resonances_from_laplacian,
     synthetic_weyl_spectrum,
@@ -23,6 +23,7 @@ from anosovlab.correlation import (
 from anosovlab.flow import (
     ExactEnsemble,
     MidpointEnsemble,
+    evaluate_observable,
     flow_map,
     liouville_ks,
     sample_liouville,
@@ -61,7 +62,7 @@ def test_criterion_1_flat_band_edges(exact_model):
 def test_criterion_2_cancelling_potential(exact_model):
     # V = u/2 cancels the damping, so both edges of band 0 vanish
     t0 = time.perf_counter()
-    edge = band_edges(exact_model, PotentialSpec(c2=1.0), 0, EXACT_PLAN)
+    edge = band_edges_upto(exact_model, PotentialSpec(c2=1.0), 0, EXACT_PLAN)[0]
     dev = max(abs(edge.gamma_plus), abs(edge.gamma_minus))
     _verdict(2, dev <= 1e-3,
              "V=u/2 edges vs 0, max deviation %.2e (tol 1e-3)" % dev,
@@ -74,7 +75,7 @@ def test_criterion_3_edge_below_expansion_bound(exact_model):
     fast_exact = build_model(model="constant_curvature", step=0.01)
     rep0 = verify_anosov(fast_exact, n_samples=40, t_check=20.0, seed=2,
                          word_length=4)
-    edge0 = band_edges(exact_model, PotentialSpec(), 0, EXACT_PLAN)
+    edge0 = band_edges_upto(exact_model, PotentialSpec(), 0, EXACT_PLAN)[0]
     slack0 = edge0.gamma_plus - (-0.5 * rep0.lambda_min)
 
     perturbed = build_model(model="conformal_perturbation", epsilon=0.05,
@@ -83,7 +84,7 @@ def test_criterion_3_edge_below_expansion_bound(exact_model):
                          word_length=4)
     plan = SamplingPlan(n_orbits=120, seed_rule="both", windows=(25.0, 40.0),
                         word_length=4, max_closed=48, seed=2)
-    edge1 = band_edges(perturbed, PotentialSpec(), 0, plan)
+    edge1 = band_edges_upto(perturbed, PotentialSpec(), 0, plan)[0]
     slack1 = edge1.gamma_plus - (-0.5 * rep1.lambda_min)
 
     _verdict(3, slack0 <= 1e-3 and slack1 <= 1e-3,
@@ -179,11 +180,11 @@ def test_criterion_7_resonances_from_correlations(exact_model):
     # significant inverted modes stay below gamma_0^+ + 0.1 and the leading
     # mode lands in the window [-0.65, -0.35] around the first band
     t0 = time.perf_counter()
-    gamma_plus = band_edges(
+    gamma_plus = band_edges_upto(
         exact_model, PotentialSpec(), 0,
         SamplingPlan(n_orbits=8, windows=(30.0, 60.0), word_length=4,
                      max_closed=8, seed=1),
-    ).gamma_plus
+    )[0].gamma_plus
 
     obs = mean_zero(exact_model, ObservableSpec(c_bump=1.0, bump_sigma=0.6))
     series = correlation_series(exact_model, obs, obs, dt=0.2, n_lags=500,
@@ -241,12 +242,10 @@ def test_criterion_9_invariant_suite(exact_model, perturbed_fine, tmp_path):
     ens = MidpointEnsemble(perturbed_fine, z, theta_h=th)
     ens.burn_in()
     us, zs = [], []
-
-    def record(e):
-        us.append(e.u.copy())
-        zs.append(e.z.copy())
-
-    ens.advance(1.0, record=record)
+    for _ in range(round(1.0 / ens.h)):
+        ens.step()
+        us.append(ens.u.copy())
+        zs.append(ens.z.copy())
     u = np.stack(us)
     zz = np.stack(zs)
     du = (-u[4:] + 8.0 * u[3:-1] - 8.0 * u[1:-3] + u[:-4]) / (12.0 * ens.h)
@@ -261,9 +260,14 @@ def test_criterion_9_invariant_suite(exact_model, perturbed_fine, tmp_path):
         if model.is_exact:
             one = ExactEnsemble.from_states(model, z, th)
             two = ExactEnsemble.from_states(model, z, th)
-            total = one.advance(3.0, [spec])[0]
-            parts = two.advance(1.25, [spec])[0] \
-                + two.advance(1.75, [spec])[0]
+            h = model.step
+
+            def integral(ens, T):
+                states = ens.sample(h, round(T / h))
+                return h * evaluate_observable(model, spec, *states).sum(axis=0)
+
+            total = integral(one, 3.0)
+            parts = integral(two, 1.25) + integral(two, 1.75)
         else:
             one = MidpointEnsemble(model, z, theta_h=th)
             two = MidpointEnsemble(model, z, theta_h=th)

@@ -6,7 +6,6 @@ from anosovlab.birkhoff import (
     BandEdges,
     SamplingPlan,
     _fit_limit,
-    band_edges,
     band_edges_upto,
     space_average,
     window_averages,
@@ -109,47 +108,39 @@ def test_orbit_averages_at_zero_epsilon():
 
 def test_negative_band_index_raises(exact_model):
     with pytest.raises(ConfigError):
-        band_edges(exact_model, PotentialSpec(), -1, FAST_PLAN)
-    with pytest.raises(ConfigError):
         band_edges_upto(exact_model, PotentialSpec(), -1, FAST_PLAN)
 
 
 def test_unstable_jacobian_potential_centers_band_zero(exact_model):
     # V = u/2 cancels the damping: band 0 sits on the imaginary axis
-    e = band_edges(exact_model, PotentialSpec(c2=1.0), 0, FAST_PLAN)
+    e = band_edges_upto(exact_model, PotentialSpec(c2=1.0), 0, FAST_PLAN)[0]
     assert e.gamma_minus == 0.0
     assert e.gamma_plus == 0.0
 
 
 def test_constant_potential_shifts_edges(exact_model):
-    e = band_edges(exact_model, PotentialSpec(c0=0.75), 0, FAST_PLAN)
+    e = band_edges_upto(exact_model, PotentialSpec(c0=0.75), 0, FAST_PLAN)[0]
     assert e.gamma_plus == pytest.approx(0.25, abs=1e-14)
 
 
 def test_seed_rule_source_columns(exact_model):
-    e = band_edges(exact_model, PotentialSpec(), 0,
-                   SamplingPlan(n_orbits=20, windows=(30.0, 60.0),
-                                seed_rule="liouville"))
+    e = band_edges_upto(exact_model, PotentialSpec(), 0,
+                        SamplingPlan(n_orbits=20, windows=(30.0, 60.0),
+                                     seed_rule="liouville"))[0]
     assert np.isnan(e.gamma_plus_words)
     assert e.gamma_plus_random == -0.5
-    e = band_edges(exact_model, PotentialSpec(), 0,
-                   SamplingPlan(n_orbits=20, windows=(30.0, 60.0),
-                                seed_rule="words", word_length=4))
+    e = band_edges_upto(exact_model, PotentialSpec(), 0,
+                        SamplingPlan(n_orbits=20, windows=(30.0, 60.0),
+                                     seed_rule="words", word_length=4))[0]
     assert np.isnan(e.gamma_plus_random)
     assert e.n_orbits == 35
 
 
 def test_perturbed_edges_straddle_the_mean(perturbed_model):
     plan = SamplingPlan(n_orbits=40, windows=(25.0, 35.0), word_length=4, seed=3)
-    e = band_edges(perturbed_model, PotentialSpec(), 0, plan)
+    e = band_edges_upto(perturbed_model, PotentialSpec(), 0, plan)[0]
     assert -0.65 < e.gamma_minus < e.gamma_plus < -0.35
     assert e.gamma_minus < -0.5 < e.gamma_plus + 0.02
-
-
-def test_single_and_batch_edges_agree(exact_model):
-    single = band_edges(exact_model, PotentialSpec(), 1, FAST_PLAN)
-    batch = band_edges_upto(exact_model, PotentialSpec(), 1, FAST_PLAN)[1]
-    assert single == batch
 
 
 def test_space_average_constant(exact_model):

@@ -1,4 +1,6 @@
 """End-to-end tests of the command line driver (in process)."""
+import ast
+import glob
 import hashlib
 import json
 import os
@@ -44,6 +46,27 @@ def test_package_imports_load_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == ""
+
+
+def test_no_unused_imports_in_src():
+    # every name a package module imports is read somewhere in that module
+    # (or exported through __all__); __future__ imports are directives
+    import anosovlab
+
+    for path in glob.glob(os.path.join(os.path.dirname(anosovlab.__file__), "*.py")):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Assign) and any(
+                    getattr(t, "id", None) == "__all__" for t in n.targets):
+                used |= {c.value for c in n.value.elts}
+        imported = {(a.asname or a.name).split(".")[0]
+                    for n in ast.walk(tree)
+                    if isinstance(n, (ast.Import, ast.ImportFrom))
+                    and getattr(n, "module", None) != "__future__"
+                    for a in n.names}
+        assert imported <= used, (os.path.basename(path), imported - used)
 
 
 class TestExitCodes:

@@ -4,12 +4,14 @@ import hashlib
 import numpy as np
 import pytest
 
+from anosovlab import correlation
 from anosovlab.correlation import (
     CorrelationSeries,
     _lag_means,
     correlation_series,
     mean_zero,
     observable_mean,
+    orbit_plan,
 )
 from anosovlab.errors import ConfigError, HorizonError
 from anosovlab.flow import evaluate_observable, make_ensemble, sample_liouville
@@ -125,28 +127,20 @@ class TestCorrelationSeriesEstimator:
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(a.stderr, b.stderr)
 
-    def test_chunking_agrees_statistically(self, exact_model):
+    def test_chunking_agrees_statistically(self, exact_model, monkeypatch):
         # every seed is drawn before the first block of orbits, so blocks of
-        # 1000 and of 300 orbits regroup the same sums
+        # 1000 and of 300 orbits (24-point orbits) regroup the same sums
         spec = ObservableSpec(c_cos=1.0)
-        a = correlation_series(exact_model, spec, spec, dt=0.5, n_lags=5,
-                               n_samples=20000, seed=9, chunk=1000)
-        b = correlation_series(exact_model, spec, spec, dt=0.5, n_lags=5,
-                               n_samples=20000, seed=9, chunk=300)
+        kw = dict(dt=0.5, n_lags=5, n_samples=20000, seed=9)
+        assert orbit_plan(5, 20000)[2] == 24
+        monkeypatch.setattr(correlation, "POINTS_HELD", 24 * 1000)
+        a = correlation_series(exact_model, spec, spec, **kw)
+        monkeypatch.setattr(correlation, "POINTS_HELD", 24 * 300)
+        b = correlation_series(exact_model, spec, spec, **kw)
         gap = np.abs(a.values - b.values)
         assert np.all(gap < 6.0 * np.hypot(a.stderr, b.stderr))
         assert np.allclose(a.values, b.values, rtol=0.0, atol=1e-12 * a.volume)
         assert np.allclose(a.stderr, b.stderr, rtol=1e-9)
-        with pytest.raises(ConfigError, match="chunk"):
-            correlation_series(exact_model, spec, spec, dt=0.5, n_lags=5,
-                               n_samples=20000, seed=9, chunk=0)
-
-    @pytest.mark.parametrize("chunk", [2.5, True])
-    def test_rejects_a_fractional_or_bool_chunk(self, exact_model, chunk):
-        spec = ObservableSpec(c_cos=1.0)
-        with pytest.raises(ConfigError, match="chunk"):
-            correlation_series(exact_model, spec, spec, dt=0.5, n_lags=5,
-                               n_samples=200, seed=9, chunk=chunk)
 
     def test_exact_stream_digest(self, exact_model):
         # Pins the bits of the exact-backend stream: 600 orbits of 585 grid
@@ -215,7 +209,7 @@ def _per_start_reference(model, u, v, dt, n_lags, n_samples, seed):
     """The per-start estimator the time average replaced: each Liouville
     point flows back through every lag and serves once per lag."""
     z, th = sample_liouville(model, n_samples, np.random.default_rng(seed))
-    ens = make_ensemble(model, z, th, reverse=True)
+    ens = make_ensemble(model, z, th)
     u0 = evaluate_observable(model, u, *ens.states())
     w = np.empty((n_lags, n_samples))
     for lag in range(n_lags):

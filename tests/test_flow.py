@@ -85,7 +85,7 @@ def test_midpoint_matches_exact_backend(exact_model):
     # epsilon = 0 runs through the Hamiltonian path must shadow the matrix flow
     rng = np.random.default_rng(63)
     z, th = sample_liouville(exact_model, 20, rng)
-    mid = MidpointEnsemble(exact_model, z, theta_h=th, h=0.01)
+    mid = MidpointEnsemble(dataclasses.replace(exact_model, step=0.01), z, th)
     mid.advance(3.0)
     ex = ExactEnsemble.from_states(exact_model, z, th)
     ex.advance(3.0)
@@ -113,10 +113,11 @@ def test_energy_conservation(perturbed_model):
 def test_riccati_stationary_at_epsilon_zero(exact_model):
     z = np.array([0.1 + 1.0j, -0.3 + 0.8j])
     th = np.array([0.4, 2.2])
-    ens = MidpointEnsemble(exact_model, z, theta_h=th, h=0.01)
+    model = dataclasses.replace(exact_model, step=0.01)
+    ens = MidpointEnsemble(model, z, th)
     ens.advance(5.0)
     np.testing.assert_array_equal(ens.u, 1.0)  # exact fixed point of the scheme
-    ens2 = MidpointEnsemble(exact_model, z, theta_h=th, h=0.01)
+    ens2 = MidpointEnsemble(model, z, th)
     ens2.u = np.array([2.0, 0.3])
     ens2.burn_in()
     np.testing.assert_allclose(ens2.u, 1.0, atol=1e-9)
@@ -136,8 +137,8 @@ def test_riccati_invariant_window(perturbed_model):
 
 def test_riccati_blowup_raises(exact_model):
     # u below the unstable branch runs away in finite time
-    ens = MidpointEnsemble(exact_model, np.array([1j]), theta_h=np.array([0.0]),
-                           h=0.01)
+    ens = MidpointEnsemble(dataclasses.replace(exact_model, step=0.01),
+                           np.array([1j]), np.array([0.0]))
     ens.u = np.array([-5.0])
     with pytest.raises(RiccatiBlowupError):
         ens.advance(2.0)
@@ -150,12 +151,10 @@ def test_riccati_residual_fine(perturbed_fine):
     ens = MidpointEnsemble(perturbed_fine, z, theta_h=th)
     ens.burn_in()
     us, zs = [], []
-
-    def record(e):
-        us.append(e.u.copy())
-        zs.append(e.z.copy())
-
-    ens.advance(1.0, record=record)
+    for _ in range(round(1.0 / ens.h)):
+        ens.step()
+        us.append(ens.u.copy())
+        zs.append(ens.z.copy())
     u = np.stack(us)
     zz = np.stack(zs)
     h = ens.h
@@ -189,31 +188,32 @@ def test_ensemble_contract(fixture, request):
         model = build_model(model="constant_curvature", step=0.25)
     else:
         model = dataclasses.replace(model, riccati_burn=1.0)
-    spec = ObservableSpec(c_u_half=2.0, c_cos=0.5)
     z, th = sample_liouville(model, 10, np.random.default_rng(67))
     ens = make_ensemble(model, z, th)
     assert ens.burn_in() is ens
-    fresh = make_ensemble(model, z, th).burn_in()
-    part = ens.advance(1.0, [spec]) + ens.advance(2.0, [spec])
-    total = fresh.advance(3.0, [spec])
-    assert total.shape == (1, 10)
-    np.testing.assert_allclose(part, total, rtol=1e-13)
-    assert ens.advance(0.5).shape == (0, 10)
-
-    back = make_ensemble(model, z, th, reverse=True)
-    back.advance(-0.5)
-    zb, thb, ub = back.states()
-    assert zb.shape == thb.shape == (10,)
+    t0 = ens.t
+    ens.advance(0.5)
+    assert ens.t == pytest.approx(t0 + 0.5, abs=1e-12)
+    zs, ths, us = ens.states()
+    assert zs.shape == ths.shape == us.shape == (10,)
     if model.is_exact:
-        np.testing.assert_array_equal(ub, 1.0)
+        # one signed jump, integrating nothing
+        np.testing.assert_array_equal(us, 1.0)
+        assert ens.advance(-0.5) is None
+        assert ens.t == pytest.approx(t0, abs=1e-12)
     else:
-        # u is never integrated backwards, so a reverse ensemble has none
-        assert ub is None
-        with pytest.raises(ValueError):
-            evaluate_observable(model, ObservableSpec(c_u_half=1.0),
-                                *back.states())
-        with pytest.raises(ValueError):
-            back.advance(-0.5, [spec])
+        # integrals at the scheme's midpoints, additive over advances; the
+        # backend steps forwards only
+        spec = ObservableSpec(c_u_half=2.0, c_cos=0.5)
+        split = make_ensemble(model, z, th).burn_in()
+        fresh = make_ensemble(model, z, th).burn_in()
+        part = split.advance(1.0, [spec]) + split.advance(2.0, [spec])
+        total = fresh.advance(3.0, [spec])
+        assert total.shape == (1, 10)
+        np.testing.assert_allclose(part, total, rtol=1e-13)
+        assert ens.advance(0.5).shape == (0, 10)
+        with pytest.raises(ConfigError):
+            ens.advance(-0.5)
 
     # sample(dt, k): the states at dt, ..., k dt at once, ending at k dt
     dt, k = 4 * model.step, 3
@@ -256,33 +256,31 @@ def test_reduction_cap_raises(exact_model):
 
 
 def test_guards(exact_model, perturbed_model):
-    z, th = np.array([1j]), np.array([0.0])
+    # a refused call leaves the time and every state array as they were
+    z, th = np.array([1j, 0.2 + 0.9j]), np.array([0.0, 1.0])
+    ex = ExactEnsemble.from_states(exact_model, z, th)
+    ex.advance(0.7)
+    t, g = ex.t, ex.g.copy()
     with pytest.raises(HorizonError):
-        ExactEnsemble.from_states(exact_model, z, th).advance(1e4)
-    ens = MidpointEnsemble(perturbed_model, z, theta_h=th)
-    with pytest.raises(HorizonError):
-        ens.advance(1e4)
+        ex.advance(1e4)
+    assert ex.t == t
+    np.testing.assert_array_equal(ex.g, g)
+
+    ens = MidpointEnsemble(perturbed_model, z, th)
+    ens.advance(2 * ens.h)  # off the seed, where u is no longer 1
+    t, state = ens.t, [ens.z.copy(), ens.xi.copy(), ens.u.copy()]
+    for T, error in ((1e4, HorizonError),
+                     (0.015, ConfigError),  # not a multiple of the step
+                     (-ens.h, ConfigError)):  # forward only
+        with pytest.raises(error):
+            ens.advance(T)
+        assert ens.t == t
+        for a, b in zip((ens.z, ens.xi, ens.u), state):
+            np.testing.assert_array_equal(a, b)
     with pytest.raises(ConfigError):
-        ens.advance(0.015)  # not a multiple of the step
-    with pytest.raises(ConfigError):
-        MidpointEnsemble(perturbed_model, z, theta_h=th, h=0.7)
+        flow_map(perturbed_model, z, th, -1.0)
     with pytest.raises(ConfigError):
         ExactEnsemble(perturbed_model, np.eye(2))
-
-
-def test_advance_integrating_rejects_negative_time(exact_model):
-    ens = ExactEnsemble.from_states(exact_model, np.array([1j]), np.array([0.0]))
-    with pytest.raises(ConfigError):
-        ens.advance(-1.0, [ObservableSpec(c_const=1.0)])
-    assert ens.t == 0.0
-
-
-def test_advance_integrating_checks_the_horizon(exact_model):
-    # every half-step lies inside the horizon of 500; the total does not
-    ens = ExactEnsemble.from_states(exact_model, np.array([1j]), np.array([0.0]))
-    with pytest.raises(HorizonError):
-        ens.advance(1000.0, [ObservableSpec(c_const=1.0)])
-    assert ens.t == 0.0
 
 
 def test_evaluate_observable_guards_and_values(exact_model, perturbed_model):
@@ -294,9 +292,12 @@ def test_evaluate_observable_guards_and_values(exact_model, perturbed_model):
     # the exact model has no shape; the term must not evaluate to zero
     with pytest.raises(ConfigError, match="shape"):
         evaluate_observable(exact_model, ObservableSpec(c_shape=1.0), z)
-    # u defaults to the exact rate 1 when the model is exact
-    out = evaluate_observable(exact_model, ObservableSpec(c_u_half=2.0), z)
-    assert out[0] == pytest.approx(1.0)
+    # no default rate stands in for a missing u, on either model
+    with pytest.raises(ValueError):
+        evaluate_observable(exact_model, ObservableSpec(c_u_half=2.0), z)
+    out = evaluate_observable(exact_model, ObservableSpec(c_u_half=2.0), z,
+                              u=np.ones(1))
+    assert out[0] == 1.0
 
     spec = ObservableSpec(c_bump=1.0)
     from anosovlab.fuchsian import to_halfplane
@@ -430,22 +431,20 @@ def test_verify_anosov_matches_per_direction_runs(perturbed_model):
 
 
 def test_perturbed_steps_digest(perturbed_model):
-    # Pins the bits of 200 forward and 200 backward perturbed midpoint steps.
-    # The digest was recorded once each point summed only its sector's list
-    # of bump centres, looked up once per step (x86-64 with AVX-512,
-    # numpy 2.4); another libm or SIMD path may round transcendental
-    # functions differently.
+    # Pins the bits of 200 perturbed midpoint steps, each point summing only
+    # its sector's list of bump centres, looked up once per step.  Recorded
+    # on x86-64 with AVX-512 and numpy 2.4; another libm or SIMD path may
+    # round transcendental functions differently.
     rng = np.random.default_rng(72)
     z, th = sample_liouville(perturbed_model, 24, rng)
+    ens = MidpointEnsemble(perturbed_model, z, th)
+    for _ in range(200):
+        ens.step()
     digest = hashlib.sha256()
-    for h in (perturbed_model.step, -perturbed_model.step):
-        ens = MidpointEnsemble(perturbed_model, z, theta_h=th, h=h)
-        for _ in range(200):
-            ens.step()
-        for a in (ens.z, ens.xi, ens.u):
-            digest.update(a.tobytes())
+    for a in (ens.z, ens.xi, ens.u):
+        digest.update(a.tobytes())
     assert digest.hexdigest() == (
-        "afda89c68781f65a437862af68567606adff66be999d4ca766168e82e0cc98c3")
+        "b3c619129c518160d442a3b80adb4a612cea1285e94909dea2c24416db3b7f49")
 
 
 def test_pack_without_laplacian_is_bit_identical(perturbed_model):
