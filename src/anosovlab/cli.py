@@ -1,10 +1,12 @@
 """Command-line entry point wiring configs, pipelines, and artifacts.
 
-One binary with a subcommand per pipeline.  Every run writes its outputs
-plus a metadata sidecar (config hash, seed, versions); runtime failures
-exit 1 with a machine-readable error JSON on stderr, while usage errors
-exit 2 through argparse.  Fixed (config, seed) pairs give byte-identical
-artifacts.
+One binary with a subcommand per pipeline.  Each handler takes the parsed
+argparse namespace and the config mapping; an option resolves from the
+command line, else the config key, else its default.  Every run writes its
+outputs plus a metadata sidecar (config hash, seed, versions, the handler's
+extras) through one helper, ``_save``; runtime failures exit 1 with a
+machine-readable error JSON on stderr, while usage errors exit 2 through
+argparse.  Fixed (config, seed) pairs give byte-identical artifacts.
 """
 from __future__ import annotations
 
@@ -13,19 +15,6 @@ import contextlib
 import json
 import os
 import sys
-from dataclasses import dataclass
-from typing import Optional
-
-
-@dataclass(frozen=True)
-class ExperimentManifest:
-    pipeline: str
-    config: Optional[str]
-    seed: int
-    out: str
-    threads: int
-    quiet: bool
-    options: dict
 
 
 def _limit_threads(n: int):
@@ -36,25 +25,26 @@ def _limit_threads(n: int):
         return contextlib.nullcontext()
 
 
-def _say(manifest, text):
-    if not manifest.quiet:
+def _say(args, text):
+    if not args.quiet:
         print(text)
 
 
-def _load(manifest):
-    from .config import parse_config
-
-    cfg = parse_config(manifest.config) if manifest.config else {}
-    return cfg
-
-
-def _option(manifest, name, cfg, key, default=None):
+def _option(args, name, cfg, key, default=None):
     """A command-line option, else the config key, else the default.
 
     Only an absent option (None) falls through, so an explicit zero is kept.
     """
-    value = manifest.options.get(name)
+    value = getattr(args, name, None)
     return cfg.get(key, default) if value is None else value
+
+
+def _save(args, extra, write, *artifact):
+    """Write the artifact to --out, then its sidecar with the extras."""
+    from . import tableio
+
+    write(args.out, *artifact)
+    tableio.write_metadata(args.out, args.seed, args.config, extra=extra)
 
 
 def _model(cfg):
@@ -81,78 +71,59 @@ def _plan(cfg, seed):
     return SamplingPlan(seed=seed, **subset(cfg, PLAN_KEYS))
 
 
-def _run_band_edges(manifest, cfg):
+# per-band fields of the band-edges sidecar
+_EDGE_DIAGNOSTICS = ("k", "converged", "gamma_plus_random", "gamma_plus_words",
+                     "gamma_minus_random", "gamma_minus_words")
+
+
+def _run_band_edges(args, cfg):
     from .birkhoff import band_edges_upto
-    from .tableio import write_band_edges, write_metadata
+    from .tableio import write_band_edges
 
     model = _model(cfg)
-    k_top = _option(manifest, "k", cfg, "k_band", 0)
-    edges = band_edges_upto(model, _potential(cfg), k_top,
-                            _plan(cfg, manifest.seed))
-    write_band_edges(manifest.out, edges)
-    write_metadata(
-        manifest.out, manifest.seed, manifest.config,
-        extra={"diagnostics": [
-            {"k": e.k, "converged": e.converged,
-             "gamma_plus_random": e.gamma_plus_random,
-             "gamma_plus_words": e.gamma_plus_words,
-             "gamma_minus_random": e.gamma_minus_random,
-             "gamma_minus_words": e.gamma_minus_words}
-            for e in edges
-        ]},
-    )
+    k_top = _option(args, "k", cfg, "k_band", 0)
+    edges = band_edges_upto(model, _potential(cfg), k_top, _plan(cfg, args.seed))
+    _save(args, {"diagnostics": [
+        {f: getattr(e, f) for f in _EDGE_DIAGNOSTICS} for e in edges
+    ]}, write_band_edges, edges)
     for e in edges:
-        _say(manifest, "k=%d  [%.6f, %.6f]  err %.2e" % (
+        _say(args, "k=%d  [%.6f, %.6f]  err %.2e" % (
             e.k, e.gamma_minus, e.gamma_plus, e.extrapolation_error))
     return edges
 
 
-def _run_resonances(manifest, cfg):
+def _run_resonances(args, cfg):
     from .catalog import resonances_from_laplacian, synthetic_weyl_spectrum
-    from .tableio import read_spectrum, write_metadata, write_resonances
+    from .tableio import read_spectrum, write_resonances
 
-    spectrum_path = manifest.options.get("spectrum")
-    if spectrum_path:
-        spectrum = read_spectrum(spectrum_path)
-    else:
+    if getattr(args, "spectrum", None) is None:
         spectrum = synthetic_weyl_spectrum(
             area=cfg.get("area", 4.0 * 3.141592653589793),
             mu_max=cfg.get("mu_max", 400.0),
             jitter=cfg.get("jitter", 0.0),
-            seed=manifest.seed,
+            seed=args.seed,
         )
-    k_max = _option(manifest, "kmax", cfg, "k_max", 3)
-    n_max = _option(manifest, "nmax", cfg, "n_max", 0)
+    else:
+        spectrum = read_spectrum(args.spectrum)
+    k_max = _option(args, "kmax", cfg, "k_max", 3)
+    n_max = _option(args, "nmax", cfg, "n_max", 0)
     rl = resonances_from_laplacian(spectrum, k_max, n_max)
-    write_resonances(manifest.out, rl)
-    write_metadata(manifest.out, manifest.seed, manifest.config,
-                   extra={"area": spectrum.area, "source": spectrum.source,
-                          "n_entries": len(rl)})
-    _say(manifest, "%d resonances for k <= %d" % (len(rl), k_max))
+    _save(args, {"area": spectrum.area, "source": spectrum.source,
+                 "n_entries": len(rl)}, write_resonances, rl)
+    _say(args, "%d resonances for k <= %d" % (len(rl), k_max))
     return rl
 
 
-def _default_u():
-    from .model import ObservableSpec
-    return ObservableSpec(c_bump=1.0)
-
-
-def _default_v():
-    from .model import ObservableSpec
-    return ObservableSpec(c_cos=1.0)
-
-
-def _run_correlate(manifest, cfg):
+def _run_correlate(args, cfg):
     from .config import parse_observable
     from .correlation import correlation_series, mean_zero, orbit_plan
-    from .tableio import write_metadata, write_series
+    from .model import ObservableSpec
+    from .tableio import write_series
 
     model = _model(cfg)
-    u_text = manifest.options.get("u")
-    v_text = manifest.options.get("v")
-    u = parse_observable(u_text) if u_text else _default_u()
-    v = parse_observable(v_text) if v_text else _default_v()
-    if not manifest.options.get("raw_mean"):
+    u = ObservableSpec(c_bump=1.0) if args.u is None else parse_observable(args.u)
+    v = ObservableSpec(c_cos=1.0) if args.v is None else parse_observable(args.v)
+    if not args.raw_mean:
         u = mean_zero(model, u)
         v = mean_zero(model, v)
     series = correlation_series(
@@ -160,162 +131,140 @@ def _run_correlate(manifest, cfg):
         dt=cfg.get("dt", 0.05),
         n_lags=cfg.get("n_lags", 4000),
         n_samples=cfg.get("n_samples", 100000),
-        seed=manifest.seed,
+        seed=args.seed,
     )
     n_orbits, stride, length = orbit_plan(len(series), series.n_samples)
-    write_series(manifest.out, series)
-    write_metadata(manifest.out, manifest.seed, manifest.config,
-                   extra={"n_samples": series.n_samples, "n_orbits": n_orbits,
-                          "stride": stride, "orbit_length": length,
-                          "volume": series.volume})
-    _say(manifest, "series of %d lags, C(0) = %.6g" % (
+    _save(args, {"n_samples": series.n_samples, "n_orbits": n_orbits,
+                 "stride": stride, "orbit_length": length,
+                 "volume": series.volume}, write_series, series)
+    _say(args, "series of %d lags, C(0) = %.6g" % (
         len(series), series.values[0]))
 
 
-def _run_invert(manifest, cfg):
+def _run_invert(args, cfg):
     import numpy as np
 
     from .inversion import harmonic_inversion
-    from .tableio import read_series, write_metadata, write_modes
+    from .tableio import read_series, write_modes
 
-    series = read_series(manifest.options["series"])
+    series = read_series(args.series)
     found = harmonic_inversion(
         series,
-        max_modes=_option(manifest, "max_modes", cfg, "max_modes", 12),
-        sv_threshold=_option(manifest, "sv_threshold", cfg, "sv_threshold",
-                             1e-3),
+        max_modes=_option(args, "max_modes", cfg, "max_modes", 12),
+        sv_threshold=_option(args, "sv_threshold", cfg, "sv_threshold", 1e-3),
     )
     # modes at or below the series' noise floor are not resolved
     floor = 5.0 * float(np.median(series.stderr))
     modes = found.significant(floor)
-    write_modes(manifest.out, modes)
-    write_metadata(manifest.out, manifest.seed, manifest.config,
-                   extra={"n_modes": len(modes), "residual": modes.residual,
-                          "noise_floor": floor,
-                          "n_dropped": len(found) - len(modes)})
-    _say(manifest, "%d modes, residual %.3g" % (len(modes), modes.residual))
+    _save(args, {"n_modes": len(modes), "residual": modes.residual,
+                 "noise_floor": floor, "n_dropped": len(found) - len(modes)},
+          write_modes, modes)
+    _say(args, "%d modes, residual %.3g" % (len(modes), modes.residual))
 
 
-def _resonance_list(manifest, rl):
+def _resonance_list(args, rl):
     """The catalogue handed over in memory, else the --resonances file."""
     from .tableio import read_resonances
 
-    return read_resonances(manifest.options["resonances"]) if rl is None else rl
+    return read_resonances(args.resonances) if rl is None else rl
 
 
-def _run_weyl(manifest, cfg, rl=None):
+def _run_weyl(args, cfg, rl=None):
     from .stats import weyl_count
-    from .tableio import write_csv, write_metadata
+    from .tableio import write_csv
 
-    rl = _resonance_list(manifest, rl)
+    rl = _resonance_list(args, rl)
     report = weyl_count(
         rl,
-        k=manifest.options.get("k", 0),
-        b=_option(manifest, "b", cfg, "weyl_b", 10.0),
+        k=args.k,
+        b=_option(args, "b", cfg, "weyl_b", 10.0),
         eps_exponent=cfg.get("eps_exponent", 0.0),
-        b_max=_option(manifest, "bmax", cfg, "weyl_b_max"),
+        b_max=_option(args, "bmax", cfg, "weyl_b_max"),
     )
-    write_csv(manifest.out, ("b", "count"),
-              zip(report.ladder, report.window_counts))
-    write_metadata(manifest.out, manifest.seed, manifest.config,
-                   extra={"k": report.k, "slope": report.slope,
-                          "prefactor": report.prefactor,
-                          "fit_omitted": report.fit_omitted})
-    _say(manifest, "slope %s over %d rungs" % (report.slope, len(report.ladder)))
+    _save(args, {"k": report.k, "slope": report.slope,
+                 "prefactor": report.prefactor,
+                 "fit_omitted": report.fit_omitted},
+          write_csv, ("b", "count"), zip(report.ladder, report.window_counts))
+    _say(args, "slope %s over %d rungs" % (report.slope, len(report.ladder)))
 
 
-def _run_bands(manifest, cfg, rl=None, edges=None):
+def _run_bands(args, cfg, rl=None, edges=None):
     from .stats import DEFAULT_IM_CUTOFF, band_membership
-    from .tableio import read_band_edges, write_csv, write_metadata
+    from .tableio import read_band_edges, write_csv
 
-    rl = _resonance_list(manifest, rl)
+    rl = _resonance_list(args, rl)
     if edges is None:
-        edges = read_band_edges(manifest.options["edges"])
+        edges = read_band_edges(args.edges)
     # default enlargement matches the accuracy contract of fitted edges
     report = band_membership(
         rl, edges,
-        eps=_option(manifest, "eps", cfg, "band_eps", 1.0e-3),
-        im_cutoff=_option(manifest, "im_cutoff", cfg, "im_cutoff",
+        eps=_option(args, "eps", cfg, "band_eps", 1.0e-3),
+        im_cutoff=_option(args, "im_cutoff", cfg, "im_cutoff",
                           DEFAULT_IM_CUTOFF),
     )
     labels = sorted(report.counts, key=str)
-    write_csv(manifest.out, ("label", "count"),
-              [(l, report.counts[l]) for l in labels])
-    write_metadata(manifest.out, manifest.seed, manifest.config,
-                   extra={"n_violations": report.n_violations,
-                          "im_cutoff": report.im_cutoff, "eps": report.eps})
-    _say(manifest, "violations: %d of %d" % (
+    _save(args, {"n_violations": report.n_violations,
+                 "im_cutoff": report.im_cutoff, "eps": report.eps},
+          write_csv, ("label", "count"),
+          [(l, report.counts[l]) for l in labels])
+    _say(args, "violations: %d of %d" % (
         report.n_violations, len(report.assignments)))
 
 
-def _run_concentrate(manifest, cfg, rl=None):
+def _run_concentrate(args, cfg, rl=None):
     from .stats import concentration
-    from .tableio import write_csv, write_metadata
+    from .tableio import write_csv
 
-    rl = _resonance_list(manifest, rl)
-    d_mean = _option(manifest, "dmean", cfg, "d_mean")
+    rl = _resonance_list(args, rl)
+    d_mean = _option(args, "dmean", cfg, "d_mean")
     if d_mean is None:
         raise _usage("concentrate needs --dmean or a d_mean config key")
     report = concentration(
         rl, float(d_mean),
-        b_max=_option(manifest, "bmax", cfg, "concentration_b_max", 40.0),
+        b_max=_option(args, "bmax", cfg, "concentration_b_max", 40.0),
     )
-    write_csv(manifest.out, ("b", "statistic"),
-              zip(report.ladder, report.statistic))
-    write_metadata(manifest.out, manifest.seed, manifest.config,
-                   extra={"d_mean": report.d_mean, "final": report.final,
-                          "nonincreasing": report.nonincreasing})
-    _say(manifest, "final statistic %s (nonincreasing: %s)" % (
+    _save(args, {"d_mean": report.d_mean, "final": report.final,
+                 "nonincreasing": report.nonincreasing},
+          write_csv, ("b", "statistic"), zip(report.ladder, report.statistic))
+    _say(args, "final statistic %s (nonincreasing: %s)" % (
         report.final, report.nonincreasing))
 
 
-def _run_verify(manifest, cfg):
+def _run_verify(args, cfg):
+    import dataclasses
+
     from .flow import liouville_ks, verify_anosov
-    from .tableio import write_json, write_metadata
+    from .tableio import write_json
 
     model = _model(cfg)
     report = verify_anosov(
         model,
         n_samples=cfg.get("verify_samples", 200),
         t_check=cfg.get("verify_time", 60.0),
-        seed=manifest.seed,
+        seed=args.seed,
     )
-    payload = {
-        "passed": report.passed,
-        "lambda_forward": report.lambda_forward,
-        "lambda_backward": report.lambda_backward,
-        "lambda_min": report.lambda_min,
-        "riccati_low": report.riccati_low,
-        "riccati_high": report.riccati_high,
-        "riccati_bounds": list(report.riccati_bounds),
-        "contact_alpha_error": report.contact_alpha_error,
-        "contact_nondegeneracy": report.contact_nondegeneracy,
-        "n_samples": report.n_samples,
-        "t_check": report.t_check,
-    }
+    payload = dict(dataclasses.asdict(report), passed=report.passed)
     if model.is_exact:
-        ks = liouville_ks(model, n=cfg.get("ks_samples", 15000),
-                          seed=manifest.seed)
+        ks = liouville_ks(model, n=cfg.get("ks_samples", 15000), seed=args.seed)
         payload["volume_ks"] = {k: float(v) for k, v in ks.items()}
-    write_json(manifest.out, payload)
-    write_metadata(manifest.out, manifest.seed, manifest.config)
-    _say(manifest, "hyperbolicity check passed: %s (lambda %.4f)" % (
+    _save(args, None, write_json, payload)
+    _say(args, "hyperbolicity check passed: %s (lambda %.4f)" % (
         report.passed, report.lambda_min))
 
 
-def _run_orbit_dump(manifest, cfg):
+def _run_orbit_dump(args, cfg):
     import numpy as np
 
     from .flow import _step_count, evaluate_observable, make_ensemble, sample_liouville
     from .model import damping_observable
-    from .tableio import write_metadata, write_orbit_dump
+    from .tableio import write_orbit_dump
 
     model = _model(cfg)
     damp = damping_observable(model, _potential(cfg))
-    span = _option(manifest, "t", cfg, "horizon", 50.0)
+    span = _option(args, "t", cfg, "horizon", 50.0)
     dt = cfg.get("dt", 0.1)
     n = _step_count(model, span, dt)
-    rng = np.random.default_rng(manifest.seed)
+    rng = np.random.default_rng(args.seed)
     z, th = sample_liouville(model, 1, rng)
     ens = make_ensemble(model, z, th).burn_in()
     rows_t, rows_z, rows_th, rows_u, rows_d = [], [], [], [], []
@@ -328,12 +277,11 @@ def _run_orbit_dump(manifest, cfg):
         rows_th.append(tt[0])
         rows_u.append(uu[0])
         rows_d.append(float(evaluate_observable(model, damp, zz, tt, uu)[0]))
-    write_orbit_dump(manifest.out, rows_t, rows_z, rows_th, rows_u, rows_d)
-    write_metadata(manifest.out, manifest.seed, manifest.config,
-                   extra={"span": span, "dt": dt})
+    _save(args, {"span": span, "dt": dt}, write_orbit_dump,
+          rows_t, rows_z, rows_th, rows_u, rows_d)
 
 
-def _run_figure2(manifest, cfg):
+def _run_figure2(args, cfg):
     """verify -> edges (k<=3) -> synthetic catalog -> bands/weyl/concentrate.
 
     The catalogue and the edges pass to the last three stages in memory; the
@@ -342,37 +290,24 @@ def _run_figure2(manifest, cfg):
     from .birkhoff import space_average
     from .model import damping_observable
 
-    out_dir = manifest.out
-    os.makedirs(out_dir, exist_ok=True)
+    os.makedirs(args.out, exist_ok=True)
 
     def sub(name, **options):
-        return ExperimentManifest(
-            pipeline=name, config=manifest.config, seed=manifest.seed,
-            out=os.path.join(out_dir, _FIG2_NAMES[name]),
-            threads=manifest.threads, quiet=manifest.quiet, options=options,
-        )
+        return argparse.Namespace(
+            **dict(vars(args), out=os.path.join(args.out, name), **options))
 
-    _run_verify(sub("verify-anosov"), cfg)
-    edges = _run_band_edges(sub("band-edges", k=3), cfg)
-    rl = _run_resonances(sub("resonances"), cfg)
-    _run_bands(sub("bands"), cfg, rl, edges)
-    _run_weyl(sub("weyl", k=0), cfg, rl)
+    _run_verify(sub("verify.json"), cfg)
+    edges = _run_band_edges(sub("band_edges.csv", k=3), cfg)
+    rl = _run_resonances(sub("resonances.json"), cfg)
+    _run_bands(sub("bands.csv"), cfg, rl, edges)
+    _run_weyl(sub("weyl.csv", k=0), cfg, rl)
     model = _model(cfg)
     d_mean, _ = space_average(
         model, damping_observable(model, _potential(cfg)),
-        cfg.get("n_samples", 20000), seed=manifest.seed,
+        cfg.get("n_samples", 20000), seed=args.seed,
     )
-    _run_concentrate(sub("concentrate", dmean=d_mean), cfg, rl)
+    _run_concentrate(sub("concentration.csv", dmean=d_mean), cfg, rl)
 
-
-_FIG2_NAMES = {
-    "verify-anosov": "verify.json",
-    "band-edges": "band_edges.csv",
-    "resonances": "resonances.json",
-    "bands": "bands.csv",
-    "weyl": "weyl.csv",
-    "concentrate": "concentration.csv",
-}
 
 _HANDLERS = {
     "band-edges": _run_band_edges,
@@ -466,36 +401,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run(manifest: ExperimentManifest) -> None:
+def run(args: argparse.Namespace) -> None:
     """Execute one pipeline, writing its artifacts and their sidecars."""
-    cfg = _load(manifest)
-    with _limit_threads(manifest.threads):
-        _HANDLERS[manifest.pipeline](manifest, cfg)
+    from .config import parse_config
+
+    cfg = {} if args.config is None else parse_config(args.config)
+    with _limit_threads(args.threads):
+        _HANDLERS[args.pipeline](args, cfg)
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    known = {"pipeline", "config", "seed", "out", "threads", "quiet"}
-    options = {k: v for k, v in vars(args).items() if k not in known}
-    manifest = ExperimentManifest(
-        pipeline=args.pipeline,
-        config=args.config,
-        seed=args.seed,
-        out=args.out,
-        threads=args.threads,
-        quiet=args.quiet,
-        options=options,
-    )
     try:
-        run(manifest)
+        run(args)
     except _usage as exc:
         parser.error(str(exc))  # exits 2
     except Exception as exc:
         payload = {
             "error": type(exc).__name__,
             "message": str(exc),
-            "pipeline": manifest.pipeline,
+            "pipeline": args.pipeline,
         }
         print(json.dumps(payload, sort_keys=True), file=sys.stderr)
         return 1

@@ -124,8 +124,8 @@ def parse_observable(text: str):
     """Observable descriptors like 'bump=1.0,bump_sigma=0.5' or 'cos=1'.
 
     Terms: const, shape, u_half, cos, sin, bump, bump_center (complex, disk
-    coordinates), bump_sigma.  Returns the coefficients as a dict suitable
-    for ObservableSpec.
+    coordinates), bump_sigma.  Returns the ObservableSpec; text that holds no
+    term is an error, never the zero observable.
     """
     from .model import ObservableSpec
 
@@ -152,4 +152,6 @@ def parse_observable(text: str):
             raise ConfigError(
                 "bad value %r for observable term %r" % (value, name)
             ) from exc
+    if not fields:
+        raise ConfigError("observable %r has no term" % text)
     return ObservableSpec(**fields)

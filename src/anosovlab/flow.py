@@ -255,25 +255,26 @@ class MidpointEnsemble:
             vz, vxi, curv = self._force(mz, mxi, last, centers)
             mz = z0 + 0.5 * h * vz
             mxi = xi0 + 0.5 * h * vxi
-        self.z = 2.0 * mz - z0
-        self.xi = 2.0 * mxi - xi0
         # Riccati du/dt = -K - u^2 by the same midpoint rule; the midpoint
         # value solves a quadratic, so no iteration is needed.
         a = 0.5 * h
         disc = 1.0 + 4.0 * a * (self.u - a * curv)
         umid = (np.sqrt(np.maximum(disc, 0.0)) - 1.0) / (2.0 * a)
-        self.u = 2.0 * umid - self.u
-        if np.any(~np.isfinite(self.u)) or np.any(np.abs(self.u) > _RICCATI_CAP):
+        u = 2.0 * umid - self.u
+        if np.any(~np.isfinite(u)) or np.any(np.abs(u) > _RICCATI_CAP):
             raise RiccatiBlowupError(
                 "unstable rate left [-%g, %g]; the model is not safely "
                 "hyperbolic at this step size" % (_RICCATI_CAP, _RICCATI_CAP)
             )
-        self.z, self.xi, rounds = self.model.domain.reduce_points(self.z, self.xi)
+        z, xi, rounds = self.model.domain.reduce_points(2.0 * mz - z0,
+                                                        2.0 * mxi - xi0)
         if rounds >= 16:
             raise StepSizeError(
                 "a single integration step left the reachable neighbourhood "
                 "of the fundamental polygon; reduce the step size"
             )
+        # a refused step leaves the ensemble as it was
+        self.z, self.xi, self.u = z, xi, u
         self.t += h
         return mz, np.angle(mxi), umid
 

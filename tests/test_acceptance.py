@@ -253,7 +253,7 @@ def test_criterion_9_invariant_suite(exact_model, perturbed_fine, tmp_path):
     checks["riccati"] = (float(resid.max()), 1e-6)
 
     # cocycle additivity of advance integrals on both backends
-    spec = ObservableSpec(c_u_half=2.0)
+    spec = ObservableSpec(c_u_half=2.0, c_bump=1.0)
     worst = 0.0
     for model in (exact_model, perturbed_fine):
         z, th = sample_liouville(model, 16, np.random.default_rng(67))

@@ -69,6 +69,37 @@ def test_no_unused_imports_in_src():
         assert imported <= used, (os.path.basename(path), imported - used)
 
 
+def test_no_orphaned_private_names_in_src():
+    # every module-level _name of a package module is read somewhere in the
+    # package: by name, as an attribute, or through an import
+    import anosovlab
+
+    defined, read = set(), set()
+    for path in glob.glob(os.path.join(os.path.dirname(anosovlab.__file__), "*.py")):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        module = os.path.basename(path)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add((module, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) \
+                    else [node.target]
+                defined |= {(module, t.id) for t in targets
+                            if isinstance(t, ast.Name)}
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                read.add(n.attr)
+            elif isinstance(n, ast.ImportFrom):
+                read |= {a.name for a in n.names}
+    orphans = sorted((m, name) for m, name in defined
+                     if name.startswith("_") and not name.endswith("__")
+                     and name not in read)
+    assert orphans == []
+
+
 class TestExitCodes:
     def test_missing_out_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -339,7 +370,8 @@ class TestArtifacts:
 
 
 class TestExplicitZeros:
-    """An explicit 0 on the command line is used, never swapped for a default."""
+    """An explicit 0 or empty input on the command line is used, never
+    swapped for a default."""
 
     def test_bands_eps_zero_is_recorded(self, tmp_path):
         from anosovlab.birkhoff import BandEdges
@@ -374,6 +406,33 @@ class TestExplicitZeros:
         payload = json.loads(capsys.readouterr().err)
         assert payload["error"] == "InversionError"
         assert "max_modes" in payload["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("u, v", [("", ""), ("cos=1", " , ")])
+    def test_correlate_empty_observable_raises(self, tmp_path, capsys, u, v):
+        # empty text is not the default bump / cos pair
+        cfg = _cfg(tmp_path, "dt = 0.25\nn_lags = 4\nn_samples = 10\n")
+        out = tmp_path / "s.csv"
+        assert main(["correlate", "--config", cfg, "--u", u, "--v", v,
+                     "--quiet", "--out", str(out)]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+        assert not out.exists()
+
+    def test_resonances_empty_spectrum_path_raises(self, tmp_path, capsys):
+        # an empty path is read like any other, not swapped for the
+        # synthetic spectrum
+        out = tmp_path / "r.json"
+        assert main(["resonances", "--spectrum", "", "--quiet",
+                     "--out", str(out)]) == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "FileNotFoundError"
+        assert not out.exists()
+
+    def test_empty_config_path_raises(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert main(["resonances", "--config", "", "--quiet",
+                     "--out", str(out)]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
         assert not out.exists()
 
 
@@ -433,3 +492,54 @@ n_samples = 500
             for artifact in (name, name + ".meta.json"):
                 assert (alone / artifact).read_bytes() == \
                     (fig2 / artifact).read_bytes(), artifact
+
+    def test_artifact_bytes_are_pinned(self, tmp_path):
+        # every artifact, and every sidecar less its machine-dependent
+        # versions entry, keeps its bytes across refactors of the CLI
+        cfg = _cfg(tmp_path, FAST_EDGES + """
+mu_max = 60
+weyl_b = 5
+concentration_b_max = 7
+verify_samples = 4
+verify_time = 4
+ks_samples = 500
+n_samples = 500
+""")
+        fig2 = tmp_path / "fig2"
+        assert main(["reproduce-fig2", "--config", cfg, "--seed", "3",
+                     "--quiet", "--out", str(fig2)]) == 0
+        digests = {}
+        for path in sorted(fig2.iterdir()):
+            data = path.read_bytes()
+            if path.name.endswith(".meta.json"):
+                meta = json.loads(data)
+                del meta["versions"]
+                data = (json.dumps(meta, sort_keys=True, indent=2)
+                        + "\n").encode()
+            digests[path.name] = hashlib.sha256(data).hexdigest()
+        assert digests == {
+            "band_edges.csv":
+                "e6447209f8d0c31a9238ba9eacc15aeeaa80fd03f66309123e2187f6d710d396",
+            "band_edges.csv.meta.json":
+                "cddcccf2021114dd06d1c0f10992a1d295b702473dd50292be72cb8ed2a12485",
+            "bands.csv":
+                "d3151b5f90591c2d919eb2e13e5cec11ee43f479e05e77d5df7779f6021f99ce",
+            "bands.csv.meta.json":
+                "878d103d89413d2e94bb7931773bd4226bf834e642518fc848f085d04dce5807",
+            "concentration.csv":
+                "f8708cc2d587b17380387a4485545b0c903496de4e2da9870867569bc0e939ca",
+            "concentration.csv.meta.json":
+                "9afd62760b753d51941ad0eda95bbbcffb03a60d97cf108ff22591761a8e3bcb",
+            "resonances.json":
+                "3153db150d84e4a6879967f646ce03116709ac15917a2a3a3101ba993a261246",
+            "resonances.json.meta.json":
+                "975e43bec42424a7754abf75a5c67e569371d2d942f17d8c31b64f6c97cbe8ab",
+            "verify.json":
+                "a5c04ba61c35c9b1a6634145a89ebf198d55c9095084b6213610396d2fb3edf2",
+            "verify.json.meta.json":
+                "2504272f7304f60a18ce0818ad747f63bc0de6ed57d9db3b6902d47427335100",
+            "weyl.csv":
+                "b6e277ee55af07a2337708ceeedf1a5b3b6a600d7cf97bbbfef403b81f92d3f8",
+            "weyl.csv.meta.json":
+                "1b4b4da3e8439fd5363db8475befb0716326d43f31ac3e8a9f099e0be3b0aec0",
+        }

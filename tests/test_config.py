@@ -11,7 +11,6 @@ from anosovlab.config import (
     subset,
 )
 from anosovlab.errors import ConfigError
-from anosovlab.model import ObservableSpec
 
 
 SAMPLE = """
@@ -100,8 +99,11 @@ class TestParseObservable:
         assert spec.bump_center == 0.2 + 0.3j
         assert spec.bump_sigma == 0.8
 
-    def test_empty_text_is_zero_observable(self):
-        assert parse_observable("") == ObservableSpec()
+    @pytest.mark.parametrize("text", ["", " , ,"], ids=["empty", "commas"])
+    def test_text_without_a_term_is_an_error(self, text):
+        # an explicit observable is never swapped for the zero observable
+        with pytest.raises(ConfigError, match="no term"):
+            parse_observable(text)
 
     def test_unknown_term(self):
         with pytest.raises(ConfigError, match="unknown observable term"):

@@ -277,6 +277,16 @@ def test_guards(exact_model, perturbed_model):
         assert ens.t == t
         for a, b in zip((ens.z, ens.xi, ens.u), state):
             np.testing.assert_array_equal(a, b)
+    # so does a step refused for a runaway rate (u below the unstable branch)
+    ens = MidpointEnsemble(dataclasses.replace(exact_model, step=0.01), z, th)
+    ens.u = np.full(2, -5.0)
+    with pytest.raises(RiccatiBlowupError):
+        while True:
+            t, state = ens.t, [ens.z.copy(), ens.xi.copy(), ens.u.copy()]
+            ens.step()
+    assert t > 0.0 and ens.t == t
+    for a, b in zip((ens.z, ens.xi, ens.u), state):
+        np.testing.assert_array_equal(a, b)
     with pytest.raises(ConfigError):
         flow_map(perturbed_model, z, th, -1.0)
     with pytest.raises(ConfigError):
