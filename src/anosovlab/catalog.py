@@ -88,14 +88,6 @@ class ResonanceList:
         z.imag = self.im
         return z
 
-    def conjugation_defect(self) -> float:
-        """Max distance from any entry's conjugate to the nearest entry."""
-        z = self.zs()
-        if len(z) == 0:
-            return 0.0
-        d = np.abs(np.conj(z)[:, None] - z[None, :]).min(axis=1)
-        return float(d.max())
-
     def records(self) -> List[dict]:
         return [
             {"re": re, "im": im, "band": band_label(b), "provenance": p}

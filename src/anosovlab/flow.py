@@ -221,12 +221,6 @@ class MidpointEnsemble:
         """(z, theta_h, u) of the current ensemble, reduced."""
         return self.z, np.angle(self.xi), self.u
 
-    def energy(self):
-        psi = self.model.psi(self.z)
-        y = self.z.imag
-        s = (self.xi * np.conj(self.xi)).real
-        return 0.5 * np.exp(-2.0 * psi) * y * y * s
-
     def _force(self, z, xi, curvature, centers):
         """Hamiltonian vector field at (z, xi), plus the Gauss curvature there
         when asked (None otherwise); the shape sums over ``centers``."""
@@ -261,7 +255,7 @@ class MidpointEnsemble:
         disc = 1.0 + 4.0 * a * (self.u - a * curv)
         umid = (np.sqrt(np.maximum(disc, 0.0)) - 1.0) / (2.0 * a)
         u = 2.0 * umid - self.u
-        if np.any(~np.isfinite(u)) or np.any(np.abs(u) > _RICCATI_CAP):
+        if not np.all(np.abs(u) <= _RICCATI_CAP):  # NaN fails too
             raise RiccatiBlowupError(
                 "unstable rate left [-%g, %g]; the model is not safely "
                 "hyperbolic at this step size" % (_RICCATI_CAP, _RICCATI_CAP)
@@ -317,17 +311,6 @@ def make_ensemble(model: FlowModel, z, theta_h):
     if model.is_exact:
         return ExactEnsemble.from_states(model, z, theta_h)
     return MidpointEnsemble(model, z, theta_h)
-
-
-def flow_map(model: FlowModel, z, theta_h, t: float):
-    """Advance states by t and return (z, theta_h), reduced; t may be
-    negative at constant curvature only."""
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    theta_h = np.atleast_1d(np.asarray(theta_h, dtype=float))
-    ens = make_ensemble(model, z, theta_h)
-    ens.advance(t)
-    zz, th, _ = ens.states()
-    return zz, np.mod(th, 2.0 * np.pi)
 
 
 def dual_seeds(model: FlowModel, n_random: int, rng, word_length: int = 6,

@@ -273,30 +273,49 @@ def _word_levels(generators, max_len):
         yield mats, parent, last
 
 
+def _round9(x):
+    """round(v, 9) for each v >= 0 in x: n / 1e9 with n the integer nearest
+    v * 1e9 exactly.  rint(x * 1e9) is that n unless the product, off by at
+    most half an ulp, lies within an ulp of a half-integer; round takes those.
+    """
+    p = x * 1e9
+    n = np.rint(p)
+    out = n / 1e9
+    near = 0.5 - np.abs(p - n) <= np.spacing(p)
+    out[near] = [round(v, 9) for v in x[near].tolist()]
+    return out
+
+
+def _first_per_key(mats):
+    """The hyperbolic elements of mats first for their key round(|trace|, 9),
+    in the order of mats, and their |trace|.  The first index per key is
+    np.unique's return_index without its stable sort (3x the cost): the least
+    index in each run of equal sorted keys."""
+    tr = np.abs(mats[:, 0, 0] + mats[:, 1, 1])
+    hyp = np.flatnonzero(tr > 2.0 + 1e-9)  # identity, elliptic: none expected
+    keys = _round9(tr[hyp])
+    perm = np.argsort(keys)
+    start = np.flatnonzero(np.diff(keys[perm], prepend=-1.0))  # keys > 2
+    pick = hyp[np.sort(np.minimum.reduceat(perm, start))]
+    return mats[pick], tr[pick]
+
+
 def closed_geodesic_elements(generators, max_len, limit=None):
     """Hyperbolic group elements keyed by distinct |trace|, shortest first.
 
-    Conjugate words and inverses share the trace, so rounding |trace| is a
+    Conjugate words and inverses share the trace, so round(|trace|, 9) is a
     cheap conjugacy-class proxy; completeness is not needed, diversity is.
-    Returns a list of (matrix, length) with length = 2 arccosh(|tr| / 2).
+    Each key keeps its first word in `_word_levels` order (first per level,
+    then first among the levels' survivors); a stable sort keeps that order
+    among equal lengths.  Returns a list of (matrix, length) with
+    length = 2 arccosh(|tr| / 2).
     """
-    seen = {}
-    for mats, _, _ in _word_levels(generators, max_len):
-        # distinct exact traces in order of first appearance, so each key
-        # keeps the first word that produced it
-        traces, first = np.unique(np.abs(mats[:, 0, 0] + mats[:, 1, 1]),
-                                  return_index=True)
-        order = np.argsort(first)
-        for tr, i in zip(traces[order].tolist(), first[order].tolist()):
-            if tr <= 2.0 + 1e-9:
-                continue  # not hyperbolic (identity or elliptic); none expected
-            key = round(tr, 9)
-            if key not in seen:
-                seen[key] = (mats[i].copy(), 2.0 * float(np.arccosh(0.5 * tr)))
-    out = sorted(seen.values(), key=lambda t: t[1])
-    if limit is not None:
-        out = out[:limit]
-    return out
+    mats, tr = _first_per_key(np.concatenate([
+        _first_per_key(level)[0]
+        for level, _, _ in _word_levels(generators, max_len)]))
+    lengths = 2.0 * np.arccosh(0.5 * tr)
+    order = np.argsort(lengths, kind="stable")[:limit]
+    return list(zip(mats[order], lengths[order].tolist()))
 
 
 def axis_seed(m):

@@ -35,12 +35,6 @@ class ModeSet:
     def __len__(self):
         return len(self.z)
 
-    def conjugation_defect(self) -> float:
-        if len(self.z) == 0:
-            return 0.0
-        d = np.abs(np.conj(self.z)[:, None] - self.z[None, :]).min(axis=1)
-        return float(d.max())
-
     def significant(self, floor: float) -> "ModeSet":
         """Modes with amplitude above a noise floor (e.g. the series stderr)."""
         keep = np.abs(self.amplitude) > floor

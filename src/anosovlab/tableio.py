@@ -48,13 +48,16 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
 
 
 def read_csv(path):
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ConfigError("%s is empty" % path) from None
-        return header, [row for row in reader if row]
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise ConfigError("%s is empty" % path) from None
+            return header, [row for row in reader if row]
+    except OSError as exc:
+        raise ConfigError("cannot read %s: %s" % (path, exc)) from exc
 
 
 def write_json(path, obj) -> None:
@@ -64,8 +67,11 @@ def write_json(path, obj) -> None:
 
 
 def read_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError("cannot read %s: %s" % (path, exc)) from exc
 
 
 def sidecar_path(artifact_path) -> str:
@@ -164,34 +170,39 @@ def read_spectrum(path) -> LaplaceSpectrum:
 
 # -- resonance lists ----------------------------------------------------------
 
-# One record of write_json(path, resonances.records()), keys in sorted order;
-# the provenance names need no escaping.
-_RESONANCE_RECORD = ('  {\n    "band": %s,\n    "im": %s,\n'
-                     '    "provenance": "%s",\n    "re": %s\n  }')
-
-
-def _json_float(value: float) -> str:
-    """json.dumps(value) for a float, directly when it is finite."""
-    return float.__repr__(value) if math.isfinite(value) else json.dumps(value)
+def _float_text(column: np.ndarray) -> np.ndarray:
+    """json.dumps of each float, formatted once per distinct bit pattern (the
+    int64 view keeps -0.0 apart from 0.0); repr is json's text when finite."""
+    bits, at = np.unique(column.view(np.int64), return_inverse=True)
+    return np.array([float.__repr__(v) if math.isfinite(v) else json.dumps(v)
+                     for v in bits.view(np.float64).tolist()], dtype=object)[at]
 
 
 def write_resonances(path, resonances: ResonanceList) -> None:
     """The bytes write_json would give for ``resonances.records()``.
 
-    Filled from a per-record template: json's indenting encoder runs in pure
-    Python and dominates the time on catalogues of tens of thousands.
+    json's indenting encoder runs in pure Python and dominates the time on
+    catalogues of tens of thousands.  Here each distinct float, band code and
+    provenance is formatted once, with the fixed text of its record (keys in
+    sorted order) folded in; the rows of pieces are joined a block at a time.
     """
-    bands = {b: json.dumps(band_label(b))
-             for b in np.unique(resonances.band).tolist()}
-    body = ",\n".join(
-        _RESONANCE_RECORD % (bands[b], _json_float(im), p, _json_float(re))
-        for re, im, b, p in zip(resonances.re.tolist(),
-                                resonances.im.tolist(),
-                                resonances.band.tolist(),
-                                resonances.provenance.tolist())
-    )
+    n = len(resonances)
+    rows = np.empty((n, 5), dtype=object)
+    codes, at = np.unique(resonances.band, return_inverse=True)
+    rows[:, 0] = np.array(['  {\n    "band": %s,\n    "im": '
+                           % json.dumps(band_label(b)) for b in codes.tolist()],
+                          dtype=object)[at]
+    rows[:, 1] = _float_text(resonances.im)
+    for p in PROVENANCES:  # the provenance names need no escaping
+        rows[resonances.provenance == p, 2] = (',\n    "provenance": "%s",'
+                                               '\n    "re": ' % p)
+    rows[:, 3] = _float_text(resonances.re)
+    rows[:, 4] = "\n  },\n"
+    rows[-1:, 4] = "\n  }\n]\n"  # the last record; none when n == 0
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("[\n%s\n]\n" % body if body else "[]\n")
+        fh.write("[\n" if n else "[]\n")
+        for i in range(0, n, 4096):  # blocks bound the joined text
+            fh.write("".join(rows[i:i + 4096].ravel().tolist()))
 
 
 def _json_number(rec: dict, key: str) -> float:

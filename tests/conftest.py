@@ -15,6 +15,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
+from anosovlab.flow import make_ensemble  # noqa: E402
 from anosovlab.fuchsian import cosh_dist_hp  # noqa: E402
 from anosovlab.model import build_model  # noqa: E402
 
@@ -28,6 +29,32 @@ def in_polygon():
         cj = cosh_dist_hp(z[..., None], domain.neighbor_base)
         return cj.min(axis=-1) - cosh_dist_hp(z, 1j) >= -tol
     return check
+
+
+@pytest.fixture(scope="session")
+def conjugation_defect():
+    """conjugation_defect(z): the largest distance from the conjugate of an
+    entry of z to its nearest entry; 0 when z is closed under conjugation."""
+    def defect(z):
+        z = np.asarray(z, dtype=complex)
+        if len(z) == 0:
+            return 0.0
+        return float(np.abs(np.conj(z)[:, None] - z[None, :]).min(axis=1).max())
+    return defect
+
+
+@pytest.fixture(scope="session")
+def flow_map():
+    """flow_map(model, z, theta_h, t): the states advanced by t, reduced, as
+    (z, theta_h) with theta_h in [0, 2 pi); t may be negative at constant
+    curvature only."""
+    def advance(model, z, theta_h, t):
+        ens = make_ensemble(model, np.atleast_1d(np.asarray(z, dtype=complex)),
+                            np.atleast_1d(np.asarray(theta_h, dtype=float)))
+        ens.advance(t)
+        zz, th, _ = ens.states()
+        return zz, np.mod(th, 2.0 * np.pi)
+    return advance
 
 
 @pytest.fixture(scope="session")

@@ -24,7 +24,6 @@ from anosovlab.flow import (
     ExactEnsemble,
     MidpointEnsemble,
     evaluate_observable,
-    flow_map,
     liouville_ks,
     sample_liouville,
     verify_anosov,
@@ -232,7 +231,8 @@ def test_criterion_8_concentration():
              time.perf_counter() - t0, 1.0)
 
 
-def test_criterion_9_invariant_suite(exact_model, perturbed_fine, tmp_path):
+def test_criterion_9_invariant_suite(exact_model, perturbed_fine, tmp_path,
+                                     flow_map, conjugation_defect):
     t0 = time.perf_counter()
     checks = {}
 
@@ -311,7 +311,7 @@ def test_criterion_9_invariant_suite(exact_model, perturbed_fine, tmp_path):
     series = _mode_series([-0.2 + 1.5j, -0.2 - 1.5j], [1.0, 1.0],
                           dt=0.1, n=400)
     modes = harmonic_inversion(series, max_modes=4, sv_threshold=1e-3)
-    conj = max(catalog.conjugation_defect(), modes.conjugation_defect())
+    conj = max(conjugation_defect(catalog.zs()), conjugation_defect(modes.z))
     checks["conjugation"] = (conj, 1e-15)
 
     # byte-identical artifacts for a fixed (config, seed) pair

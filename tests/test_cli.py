@@ -223,7 +223,7 @@ class TestArtifacts:
         main(["resonances", "--out", str(out)])
         assert "resonances" in capsys.readouterr().out
 
-    def test_correlate_then_invert(self, tmp_path):
+    def test_correlate_then_invert(self, tmp_path, conjugation_defect):
         cfg = _cfg(tmp_path, "dt = 0.25\nn_lags = 120\nn_samples = 4000\n")
         series_path = tmp_path / "series.csv"
         assert main(["correlate", "--config", cfg, "--quiet",
@@ -240,7 +240,7 @@ class TestArtifacts:
         assert len(zs) >= 1
         assert np.all(zs.real < 0.0)
         # inverted output remains closed under conjugation
-        assert modes.conjugation_defect() == 0.0
+        assert conjugation_defect(zs) == 0.0
 
     def test_correlate_records_the_orbit_plan(self, tmp_path):
         cfg = _cfg(tmp_path, "dt = 0.25\nn_lags = 30\nn_samples = 100\n")
@@ -425,7 +425,25 @@ class TestExplicitZeros:
         assert main(["resonances", "--spectrum", "", "--quiet",
                      "--out", str(out)]) == 1
         payload = json.loads(capsys.readouterr().err)
-        assert payload["error"] == "FileNotFoundError"
+        assert payload["error"] == "ConfigError"
+        assert payload["message"].startswith("cannot read : ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, missing", [
+        (["invert", "--series", "{tmp}/missing.csv"], "missing.csv"),
+        (["bands", "--resonances", "{tmp}/missing.json",
+          "--edges", "{tmp}/missing.csv"], "missing.json"),
+    ], ids=["invert", "bands"])
+    def test_missing_input_file_raises(self, tmp_path, capsys, argv, missing):
+        # an unreadable input fails as a ConfigError naming the path, as an
+        # unreadable config does
+        out = tmp_path / "out"
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        assert main(argv + ["--quiet", "--out", str(out)]) == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "ConfigError"
+        assert payload["message"].startswith(
+            "cannot read %s: " % (tmp_path / missing))
         assert not out.exists()
 
     def test_empty_config_path_raises(self, tmp_path, capsys):

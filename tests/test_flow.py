@@ -19,7 +19,6 @@ from anosovlab.flow import (
     contact_check,
     dual_seeds,
     evaluate_observable,
-    flow_map,
     liouville_ks,
     make_ensemble,
     sample_liouville,
@@ -71,7 +70,7 @@ def test_exact_flow_inverse(exact_model):
     _angles_close(th1, th, 1e-10)
 
 
-def test_time_reversal_exact(exact_model):
+def test_time_reversal_exact(exact_model, flow_map):
     # reversing direction conjugates forward and backward flow
     rng = np.random.default_rng(62)
     z, th = sample_liouville(exact_model, 15, rng)
@@ -97,6 +96,13 @@ def test_midpoint_matches_exact_backend(exact_model):
     np.testing.assert_allclose(um, 1.0, atol=1e-12)
 
 
+def _energy(ens):
+    """H = e^{-2 psi} y^2 |xi|^2 / 2 at a midpoint ensemble's states."""
+    y = ens.z.imag
+    s = (ens.xi * np.conj(ens.xi)).real
+    return 0.5 * np.exp(-2.0 * ens.model.psi(ens.z)) * y * y * s
+
+
 def test_energy_conservation(perturbed_model):
     rng = np.random.default_rng(64)
     z, th = sample_liouville(perturbed_model, 30, rng)
@@ -104,7 +110,7 @@ def test_energy_conservation(perturbed_model):
     devs = []
     for _ in range(4):
         ens.advance(5.0)
-        devs.append(np.max(np.abs(ens.energy() - 0.5)))
+        devs.append(np.max(np.abs(_energy(ens) - 0.5)))
     # symplectic midpoint: bounded energy error, no secular growth
     assert max(devs) < 1e-4
     assert devs[-1] < 3.0 * max(devs[0], 1e-9)
@@ -255,7 +261,7 @@ def test_reduction_cap_raises(exact_model):
         ExactEnsemble.from_states(exact_model, z, th).advance(100.0)
 
 
-def test_guards(exact_model, perturbed_model):
+def test_guards(exact_model, perturbed_model, flow_map):
     # a refused call leaves the time and every state array as they were
     z, th = np.array([1j, 0.2 + 0.9j]), np.array([0.0, 1.0])
     ex = ExactEnsemble.from_states(exact_model, z, th)
@@ -291,6 +297,21 @@ def test_guards(exact_model, perturbed_model):
         flow_map(perturbed_model, z, th, -1.0)
     with pytest.raises(ConfigError):
         ExactEnsemble(perturbed_model, np.eye(2))
+
+
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+def test_non_finite_rate_is_refused(exact_model, bad):
+    # a NaN rate fails every comparison; the blow-up test must still refuse
+    # the step and leave the ensemble as it was
+    ens = MidpointEnsemble(exact_model, np.array([1j, 0.2 + 0.9j]),
+                           np.array([0.0, 1.0]))
+    ens.u = np.array([1.0, bad])
+    state = [ens.z.copy(), ens.xi.copy(), ens.u.copy()]
+    with pytest.raises(RiccatiBlowupError):
+        ens.step()
+    assert ens.t == 0.0
+    for a, b in zip((ens.z, ens.xi, ens.u), state):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_evaluate_observable_guards_and_values(exact_model, perturbed_model):

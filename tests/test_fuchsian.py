@@ -9,6 +9,7 @@ from anosovlab.fuchsian import (
     TRANSLATION_LENGTH,
     VERTEX_RADIUS,
     DirichletDomain,
+    _round9,
     _word_levels,
     axis_seed,
     bolza_generators,
@@ -344,21 +345,39 @@ def _loop_words(g, max_len):
 
 def test_batched_words_match_loop_reference():
     g = bolza_generators()
-    ref = _loop_words(g, 5)
+    ref6 = _loop_words(g, 6)
     got = _words(g, 5)
+    ref = ref6[:len(got)]
     assert [wd for _, wd in got] == [wd for _, wd in ref]
     for (m, _), (r, _) in zip(got, ref):
         np.testing.assert_array_equal(m, r)
-    # first word per rounded |trace|, sorted by length
-    seen = {}
-    for m, _ in ref:
+    # first word per rounded |trace|, sorted by length: the same matrices
+    # and lengths in the same order at every word length and limit
+    seen, n_keys = {}, {}
+    for m, wd in ref6:
         tr = abs(float(np.trace(m)))
         seen.setdefault(round(tr, 9), (m, 2.0 * float(np.arccosh(0.5 * tr))))
-    expect = sorted(seen.values(), key=lambda t: t[1])
-    els = closed_geodesic_elements(g, 5)
-    assert [ell for _, ell in els] == [ell for _, ell in expect]
-    for (m, _), (r, _) in zip(els, expect):
-        np.testing.assert_array_equal(m, r)
+        n_keys[len(wd)] = len(seen)  # ref6 runs through the lengths in order
+    entries = list(seen.values())
+    for max_len in range(1, 7):
+        by_length = sorted(entries[:n_keys[max_len]], key=lambda t: t[1])
+        for limit in (24, 64, 128, None):
+            expect = by_length[:limit]
+            els = closed_geodesic_elements(g, max_len, limit)
+            assert [ell for _, ell in els] == [ell for _, ell in expect]
+            np.testing.assert_array_equal(np.array([m for m, _ in els]),
+                                          np.array([m for m, _ in expect]))
+
+
+def test_trace_keys_match_python_round():
+    # every distinct |trace| through word length 7 is keyed exactly as
+    # round(t, 9) keys it, also where rint(t * 1e9) picks the wrong neighbour
+    tr = np.unique(np.concatenate([
+        np.abs(m[:, 0, 0] + m[:, 1, 1])
+        for m, _, _ in _word_levels(bolza_generators(), 7)]))
+    expect = np.array([round(t, 9) for t in tr.tolist()])
+    np.testing.assert_array_equal(_round9(tr), expect)
+    assert np.count_nonzero(np.rint(tr * 1e9) / 1e9 != expect) > 0
 
 
 def test_closed_geodesics_systole_and_axes():

@@ -179,6 +179,10 @@ def _rows(*rows):
                          provenance=provenance)
 
 
+# a quiet NaN with a payload; json writes every NaN as NaN
+_NAN_PAYLOAD = np.array([0x7FF8000000000123]).view(np.float64)[0]
+
+
 def _same_columns(a, b):
     return (a.re.tobytes() == b.re.tobytes()
             and a.im.tobytes() == b.im.tobytes()
@@ -230,7 +234,30 @@ class TestResonanceTable:
               (-3.0, 0.0, 12, "analytic")),
         _rows((float("nan"), 1.0, UNASSIGNED, "inverted"),
               (float("inf"), float("-inf"), 1, "analytic")),
-    ], ids=["analytic", "empty", "bands_and_signed_zero", "non_finite"])
+        _rows((0.0, -0.0, 1, "analytic"),
+              (-0.0, 0.0, 1, "analytic"),
+              (0.0, 0.0, 2, "inverted"),
+              (-0.0, -0.0, 2, "inverted")),
+        _rows(*[(-0.5 - k, sign * 2.25, k, p) for k in (0, 1, 2)
+                for sign in (1, -1) for p in ("analytic", "inverted")]),
+        _rows((_NAN_PAYLOAD, float("nan"), UNASSIGNED, "inverted"),
+              (float("nan"), _NAN_PAYLOAD, UNASSIGNED, "inverted"),
+              (-_NAN_PAYLOAD, 1.0, 0, "analytic")),
+        _rows((-1.5, 3.0, 1, "analytic")),
+        _rows((0.2, 0.0, EXCEPTIONAL, "analytic"),
+              (-0.3, 1.0, UNASSIGNED, "inverted"),
+              (-0.5, 2.0, 0, "analytic"),
+              (-1.5, 2.0, 1, "analytic"),
+              (-2.5, -2.0, 2, "analytic"),
+              (-10.5, 7.0, 10, "analytic"),
+              (0.2, 0.0, EXCEPTIONAL, "analytic")),
+        _rows(*[(-0.5 - i % 4, 0.25 * i, i % 4, "analytic")
+                for i in range(8192)]),
+        _rows(*[(-0.5 - i % 4, 0.25 * i, i % 4, "analytic")
+                for i in range(8193)]),
+    ], ids=["analytic", "empty", "bands_and_signed_zero", "non_finite",
+            "zero_and_minus_zero", "repeats_across_bands", "nan_payloads",
+            "single", "flags_and_bands", "two_blocks", "two_blocks_and_one"])
     def test_bytes_match_json_dump(self, tmp_path, resonances):
         path = tmp_path / "res.json"
         write_resonances(path, resonances)
