@@ -17,13 +17,15 @@ The default co-compact group is the genus-2 surface group generated by four
 hyperbolic translations of length 2 arccosh(1 + sqrt 2) along the directions
 k pi/4, k = 0..3.  They pair opposite sides of the regular hyperbolic octagon
 with all interior angles pi/4, whose area is 4 pi (Gauss-Bonnet for genus 2).
-The octagon is the Dirichlet domain of the group centred at i, so membership
-and reduction to the fundamental domain are pure nearest-orbit-point tests
-against the eight neighbouring octagon centres.
+The octagon is the Dirichlet domain of the group centred at i.  Its eight
+neighbouring centres sit on one disk circle at the angles j pi/4, so reduction
+to the fundamental domain picks the nearest of them by a point's disk angle.
 """
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import ModelValidationError, StepSizeError
 
 # Octagon constants.  The right triangle (centre, edge midpoint, vertex) has
 # angles pi/8, pi/2, pi/8, which gives cosh(apothem) = cot(pi/8) = 1 + sqrt 2
@@ -32,6 +34,10 @@ APOTHEM = float(np.arccosh(1.0 + np.sqrt(2.0)))
 VERTEX_RADIUS = float(np.arccosh(3.0 + 2.0 * np.sqrt(2.0)))
 TRANSLATION_LENGTH = 2.0 * APOTHEM
 MAX_ROUNDS = 64  # cap on the sweeps of one reduction call
+_Q = float(np.tanh(APOTHEM))  # disk radius of the neighbouring centres
+_HALF_Q = 0.5 * _Q * (1.0 + 1e-15)  # bisector test, with a strict margin
+_IN_R2 = float(np.tanh(0.5 * APOTHEM)) ** 2 * (1.0 - 1e-12)  # in-radius^2, shrunk
+_TURN = np.exp(-0.25j * np.pi * np.arange(8))  # turns neighbour j onto the axis
 
 _CAYLEY = np.array([[1.0, -1j], [1.0, 1j]])
 _CAYLEY_INV = np.linalg.inv(_CAYLEY)
@@ -135,67 +141,55 @@ def halfplane_to_matrix(z, theta_h):
 
 
 class DirichletDomain:
-    """Reduction to the Dirichlet fundamental polygon of an octagon-type group.
-
-    The polygon is the set of points at least as close to i as to any of the
-    eight neighbouring centres gamma_j(i).  Reduction repeatedly applies the
-    inverse of the neighbour whose centre is strictly closest; ties are
-    broken by the first index in the fixed neighbour order (the four
-    generators followed by their inverses).
-    """
+    """Reduction to the Dirichlet fundamental polygon of the regular octagon:
+    the points at least as close to i as to the eight neighbouring centres
+    gamma_j(i) (generators, then inverses: gamma_{j+4} = gamma_j^{-1}), which
+    sit in the disk at radius tanh(APOTHEM) and angle j pi/4."""
 
     def __init__(self, generators: np.ndarray):
         generators = np.asarray(generators, dtype=float)
         dets = np.linalg.det(generators)
         if np.any(np.abs(dets - 1.0) > 1e-9):
-            from .errors import ModelValidationError
-
             raise ModelValidationError(
-                "generators must have unit determinant, got det = %s" % dets
-            )
+                "generators must have unit determinant, got det = %s" % dets)
         self.generators = generators
         inv = np.linalg.inv(generators)
         self.neighbors = np.concatenate([generators, inv])         # (8,2,2)
-        self.neighbors_inv = np.concatenate([inv, generators])     # inverse of each
-        self.neighbor_base = mobius(self.neighbors, 1j)            # gamma_j(i)
-        # quick-skip threshold: points within the inscribed circle are inside
-        self._cosh_in = np.cosh(APOTHEM)
+        off = np.abs(to_disk(mobius(self.neighbors, 1j)) * _TURN - _Q)
+        if np.any(off > 1e-12):  # the layout that _reduce relies on
+            raise ModelValidationError("not the regular octagon's layout: %s" % off)
 
     # -- point form ---------------------------------------------------------
 
-    def _reduce(self, z, move):
-        """The reduction loop over base points z, updated in place.
+    def _reduce(self, w, move):
+        """The reduction loop over disk base points w, updated in place.
 
         ``move(sel, m)`` applies the matrices m[k] to the states at indices
-        sel[k] and returns their new base points.  Each sweep moves every
-        point that has a strictly closer neighbour in one gathered call.
-        Later sweeps touch only the points that moved in the previous one and
-        still sit outside the inscribed circle; everything else is already
-        reduced.  Returns the number of sweeps used, at most MAX_ROUNDS;
-        raises StepSizeError when a point is still outside after that many.
+        sel[k] and returns their new disk base points.  Each sweep moves, in
+        one gathered call, every point beyond the bisector of its neighbour
+        j = rint(arg w / (pi/4)), Re(w e^{-ij pi/4}) > Q (1 + |w|^2) / 2.
+        Later sweeps take only the moved points still outside the in-circle.
+        Returns the sweeps used, at most MAX_ROUNDS, or raises StepSizeError.
         """
-        c0 = cosh_dist_hp(z, 1j)
-        active = np.flatnonzero(c0 > self._cosh_in)  # only these can be outside
+        r2 = w.real * w.real + w.imag * w.imag
+        active = np.flatnonzero(r2 > _IN_R2)  # only these can be outside
         rounds = 0
         while len(active):
-            # neighbour-major (8, n): the reductions run along the long axis
-            cj = cosh_dist_hp(z[active], self.neighbor_base[:, None])
-            jbest = np.argmin(cj, axis=0)
-            better = cj[jbest, np.arange(len(jbest))] < c0[active] * (1.0 - 1e-15)
+            wa = w[active]
+            j = np.rint(np.angle(wa) * (4.0 / np.pi)).astype(np.intp) & 7
+            better = (wa * _TURN[j]).real > _HALF_Q * (1.0 + r2[active])
             if not better.any():
                 break
             if rounds == MAX_ROUNDS:
-                from .errors import StepSizeError
-
                 raise StepSizeError(
                     "%d points are still outside the fundamental polygon after "
                     "%d reduction sweeps; the step or jump is too long"
                     % (better.sum(), MAX_ROUNDS))
             rounds += 1
             idx = active[better]
-            z[idx] = move(idx, self.neighbors_inv[jbest[better]])
-            c0[idx] = cosh_dist_hp(z[idx], 1j)
-            active = idx[c0[idx] > self._cosh_in]
+            w[idx] = wn = move(idx, self.neighbors[(j[better] + 4) & 7])
+            r2[idx] = rn = wn.real * wn.real + wn.imag * wn.imag
+            active = idx[rn > _IN_R2]
         return rounds
 
     def reduce_points(self, z, xi):
@@ -211,9 +205,10 @@ class DirichletDomain:
         def move(sel, m):
             q = m[:, 1, 0] * z[sel] + m[:, 1, 1]
             xi[sel] = xi[sel] * np.conj(q * q)
-            return mobius(m, z[sel])
+            z[sel] = moved = mobius(m, z[sel])
+            return to_disk(moved)
 
-        rounds = self._reduce(z, move)
+        rounds = self._reduce(to_disk(z), move)
         return z, xi, rounds
 
     def quotient_cosh_dist(self, z, w):
@@ -238,6 +233,13 @@ class DirichletDomain:
         """Left-multiply (n,2,2) matrices by group elements until the base
         point lies in the polygon.  Returns the number of sweeps used."""
         g = np.asarray(g)
+        # w = to_disk(h(i)) = ((b + c) + i(a - d)) / ((b - c) + i(a + d)), its
+        # four sums formed by one product, bit for bit (two +-1 terms each)
+        rows = np.array([[0, 1, 0, 1], [1, 0, 1, 0], [1, 0, -1, 0], [0, -1, 0, 1]], float)
+
+        def disk_point(h):
+            nd = (h.reshape(-1, 4) @ rows).view(complex)
+            return nd[:, 0] / nd[:, 1]
 
         def move(sel, m):
             # the 2x2 products written out: the same bits as einsum, faster
@@ -247,9 +249,9 @@ class DirichletDomain:
                 for j in range(2):
                     moved[:, i, j] = m[:, i, 0] * h[:, 0, j] + m[:, i, 1] * h[:, 1, j]
             g[sel] = moved
-            return matrix_base_point(moved)
+            return disk_point(moved)
 
-        return self._reduce(matrix_base_point(g), move)
+        return self._reduce(disk_point(g), move)
 
 
 def _word_levels(generators, max_len):

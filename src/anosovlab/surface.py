@@ -35,8 +35,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .fuchsian import (
-    APOTHEM,
     VERTEX_RADIUS,
+    _Q,
     cosh_dist_hp,
     _word_levels,
     dist_hp,
@@ -44,8 +44,6 @@ from .fuchsian import (
     to_disk,
     to_halfplane,
 )
-
-_Q = float(np.tanh(APOTHEM))  # disk-model parameter of the octagon sides
 
 # The dihedral symmetry group of the octagon has order 16; its mirror axes
 # cut the polygon into 16 congruent sectors of angle pi/8 in the disk.

@@ -16,7 +16,7 @@ import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
 from anosovlab.flow import make_ensemble  # noqa: E402
-from anosovlab.fuchsian import cosh_dist_hp  # noqa: E402
+from anosovlab.fuchsian import cosh_dist_hp, mobius  # noqa: E402
 from anosovlab.model import build_model  # noqa: E402
 
 
@@ -26,7 +26,7 @@ def in_polygon():
     i as to every neighbouring centre, up to tol in cosh distance."""
     def check(domain, z, tol=1e-12):
         z = np.asarray(z, dtype=complex)
-        cj = cosh_dist_hp(z[..., None], domain.neighbor_base)
+        cj = cosh_dist_hp(z[..., None], mobius(domain.neighbors, 1j))
         return cj.min(axis=-1) - cosh_dist_hp(z, 1j) >= -tol
     return check
 

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from anosovlab.errors import StepSizeError
+from anosovlab.errors import ModelValidationError, StepSizeError
 from anosovlab.fuchsian import (
     APOTHEM,
     MAX_ROUNDS,
@@ -87,15 +87,29 @@ def test_state_matrix_round_trip():
     np.testing.assert_allclose(th_d, halfplane_to_disk_angle(z, th), atol=1e-11)
 
 
+# The reference loops decide by a cosh-distance table: the nearest of the
+# centres gamma_j(i) is its argmin, first index on ties, and a point moves, by
+# the inverse of that neighbour, when its centre is closer than i.  Points
+# within the in-circle (cosh distance cosh(APOTHEM) from i) are skipped.
+_COSH_IN = np.cosh(APOTHEM)
+
+
+def _table_parts(domain):
+    """(centres gamma_j(i), inverses of the neighbours) for a table loop."""
+    return (mobius(domain.neighbors, 1j),
+            np.concatenate([np.linalg.inv(domain.generators), domain.generators]))
+
+
 def _per_neighbour_reduce(domain, z, move):
     """Reference reduction loop: one ``move(sel, m)`` per distinct neighbour
     in each sweep, with m a single (2, 2) matrix.  Returns the sweep count
     and whether any sweep applied two or more different neighbours."""
+    centres, inverses = _table_parts(domain)
     c0 = cosh_dist_hp(z, 1j)
-    active = np.flatnonzero(c0 > domain._cosh_in)
+    active = np.flatnonzero(c0 > _COSH_IN)
     rounds, mixed = 0, False
     while len(active) and rounds < 64:
-        cj = cosh_dist_hp(z[active, None], domain.neighbor_base)
+        cj = cosh_dist_hp(z[active, None], centres)
         jbest = np.argmin(cj, axis=1)
         better = cj[np.arange(len(jbest)), jbest] < c0[active] * (1.0 - 1e-15)
         if not better.any():
@@ -106,29 +120,30 @@ def _per_neighbour_reduce(domain, z, move):
         mixed |= len(np.unique(jsel)) >= 2
         for j in np.unique(jsel):
             sel = idx[jsel == j]
-            z[sel] = move(sel, domain.neighbors_inv[j])
+            z[sel] = move(sel, inverses[j])
         c0[idx] = cosh_dist_hp(z[idx], 1j)
-        active = idx[c0[idx] > domain._cosh_in]
+        active = idx[c0[idx] > _COSH_IN]
     return rounds, mixed
 
 
 def _point_major_reduce(domain, z, move):
     """Reference reduction loop with the point-major (n, 8) neighbour table
     and ``argmin(axis=1)``, one gathered ``move`` per sweep."""
+    centres, inverses = _table_parts(domain)
     c0 = cosh_dist_hp(z, 1j)
-    active = np.flatnonzero(c0 > domain._cosh_in)
+    active = np.flatnonzero(c0 > _COSH_IN)
     rounds = 0
     while len(active) and rounds < 64:
-        cj = cosh_dist_hp(z[active, None], domain.neighbor_base)
+        cj = cosh_dist_hp(z[active, None], centres)
         jbest = np.argmin(cj, axis=1)
         better = cj[np.arange(len(jbest)), jbest] < c0[active] * (1.0 - 1e-15)
         if not better.any():
             break
         rounds += 1
         idx = active[better]
-        z[idx] = move(idx, domain.neighbors_inv[jbest[better]])
+        z[idx] = move(idx, inverses[jbest[better]])
         c0[idx] = cosh_dist_hp(z[idx], 1j)
-        active = idx[c0[idx] > domain._cosh_in]
+        active = idx[c0[idx] > _COSH_IN]
     return rounds
 
 
@@ -145,6 +160,14 @@ def _near_ties(gens):
     ]).ravel()
     z = to_halfplane(w)
     return np.concatenate([z, mobius(gen8[:, None], z).ravel()])
+
+
+def _at_corner(z):
+    """Whether each half-plane point is an octagon vertex, to 1e-12 in the disk."""
+    w = to_disk(z)
+    a = np.angle(w) / (np.pi / 4.0) - 0.5
+    return ((np.abs(np.abs(w) - np.tanh(0.5 * VERTEX_RADIUS)) <= 1e-12)
+            & (np.abs(a - np.rint(a)) <= 1e-12))
 
 
 class TestDirichletReduction:
@@ -227,19 +250,19 @@ class TestDirichletReduction:
         np.testing.assert_array_equal(xir, ref_xi)
         assert rounds == ref_rounds
 
-    def test_layout_matches_point_major_loop(self):
+    def test_layout_matches_point_major_loop(self, in_polygon):
         rng = np.random.default_rng(7)
-        z7 = rng.uniform(-4, 4, 40) + 1j * rng.uniform(0.05, 6.0, 40)
-        th7 = rng.uniform(0, 2 * np.pi, 40)
+        z = rng.uniform(-4, 4, 40) + 1j * rng.uniform(0.05, 6.0, 40)
+        th = rng.uniform(0, 2 * np.pi, 40)
         zt = _near_ties(self.gens)
-        z = np.concatenate([z7, zt])
-        th = np.concatenate([th7, rng.uniform(0, 2 * np.pi, len(zt))])
+        tht = rng.uniform(0, 2 * np.pi, len(zt))
         # ties are present: some points are as close to a neighbouring
         # centre as to i, to 1e-9 in cosh distance
-        gap = (cosh_dist_hp(zt[:, None], self.domain.neighbor_base).min(axis=1)
+        gap = (cosh_dist_hp(zt[:, None], _table_parts(self.domain)[0]).min(axis=1)
                - cosh_dist_hp(zt, 1j))
         assert np.sum(np.abs(gap) < 1e-9) >= 16
 
+        # away from ties: the table loop's matrices, covectors and sweeps
         g = halfplane_to_matrix(z, th)
         ref_g = g.copy()
 
@@ -267,6 +290,23 @@ class TestDirichletReduction:
         np.testing.assert_array_equal(zr, ref_z)
         np.testing.assert_array_equal(xir, ref_xi)
 
+        # at ties the angle rule breaks them its own way: both forms land in
+        # the closed polygon, on the same representative to 1e-12 unless both
+        # sit on corners (all eight are one point of the surface), and a
+        # second reduction leaves them bit for bit
+        gt = halfplane_to_matrix(zt, tht)
+        self.domain.reduce_matrices(gt)
+        zm = matrix_base_point(gt)
+        zrt, _, _ = self.domain.reduce_points(zt, np.exp(1j * tht) / zt.imag)
+        assert np.all(in_polygon(self.domain, zm))
+        assert np.all(in_polygon(self.domain, zrt))
+        apart = np.abs(zrt - zm) > 1e-12
+        assert np.all(_at_corner(zm[apart]) & _at_corner(zrt[apart]))
+        again = gt.copy()
+        assert self.domain.reduce_matrices(again) == 0
+        np.testing.assert_array_equal(again, gt)
+        zr = np.concatenate([zr, zrt])
+
         # quotient distances from reduced points, to a centre on an edge,
         # at a vertex and inside, in 1-d and 2-d layouts
         for w in (zt[1], zt[4], 0.2 + 1.1j):
@@ -277,6 +317,51 @@ class TestDirichletReduction:
             np.testing.assert_array_equal(
                 self.domain.quotient_cosh_dist(zr[:60].reshape(4, 15), w),
                 ref[:60].reshape(4, 15))
+
+    def test_angle_rule_matches_cosh_table(self):
+        # one sweep over 200 000 points from the in-circle to 1.5 beyond the
+        # vertices moves exactly the points the table finds strictly closer
+        # to a neighbouring centre, each by the inverse of the table's
+        # nearest; only points within 1e-9 of a tie are left out
+        rng = np.random.default_rng(11)
+        n = 200_000
+        r = rng.uniform(APOTHEM, VERTEX_RADIUS + 1.5, n)
+        z = to_halfplane(np.tanh(0.5 * r) * np.exp(2j * np.pi * rng.uniform(size=n)))
+        centres, inverses = _table_parts(self.domain)
+        cj = cosh_dist_hp(z[:, None], centres)
+        c0 = cosh_dist_hp(z, 1j)
+        jbest = np.argmin(cj, axis=1)
+        two = np.partition(cj, 1, axis=1)
+        clear = (two[:, 1] - two[:, 0] > 1e-9) & (np.abs(two[:, 0] - c0) > 1e-9)
+        assert np.count_nonzero(~clear) < n // 1000
+
+        moves = []
+
+        def move(sel, m):
+            moves.append((sel, m))
+            return np.zeros(len(sel), dtype=complex)  # the centre: done
+
+        assert self.domain._reduce(to_disk(z), move) == 1
+        (sel, m), = moves
+        moved = np.zeros(n, dtype=bool)
+        moved[sel] = True
+        closer = two[:, 0] < c0
+        np.testing.assert_array_equal(moved[clear], closer[clear])
+        assert np.count_nonzero(closer[clear]) > n // 2
+        keep = clear[sel]
+        np.testing.assert_array_equal(m[keep], inverses[jbest[sel[keep]]])
+        assert set(jbest[sel[keep]].tolist()) == set(range(8))
+
+    def test_irregular_layout_is_rejected(self):
+        # conjugating by z -> 4 z moves the centre i; a rotation about i by
+        # pi/8 keeps it but turns the neighbouring centres off the angles
+        # j pi/4.  The reduction relies on both, so the domain refuses them.
+        a = np.pi / 16.0
+        for h in (np.diag([2.0, 0.5]),
+                  np.array([[np.cos(a), np.sin(a)], [-np.sin(a), np.cos(a)]])):
+            conj = h @ self.gens @ np.linalg.inv(h)
+            with pytest.raises(ModelValidationError, match="regular octagon"):
+                DirichletDomain(conj)
 
     def test_reduction_cap_raises_in_both_forms(self):
         # states flowed by diag(e^{T/2}, e^{-T/2}) from inside the polygon:
