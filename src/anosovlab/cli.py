@@ -76,11 +76,12 @@ _EDGE_DIAGNOSTICS = ("k", "converged", "gamma_plus_random", "gamma_plus_words",
                      "gamma_minus_random", "gamma_minus_words")
 
 
-def _run_band_edges(args, cfg):
+def _run_band_edges(args, cfg, model=None):
     from .birkhoff import band_edges_upto
     from .tableio import write_band_edges
 
-    model = _model(cfg)
+    if model is None:
+        model = _model(cfg)
     k_top = _option(args, "k", cfg, "k_band", 0)
     edges = band_edges_upto(model, _potential(cfg), k_top, _plan(cfg, args.seed))
     _save(args, {"diagnostics": [
@@ -230,13 +231,14 @@ def _run_concentrate(args, cfg, rl=None):
         report.final, report.nonincreasing))
 
 
-def _run_verify(args, cfg):
+def _run_verify(args, cfg, model=None):
     import dataclasses
 
     from .flow import liouville_ks, verify_anosov
     from .tableio import write_json
 
-    model = _model(cfg)
+    if model is None:
+        model = _model(cfg)
     report = verify_anosov(
         model,
         n_samples=cfg.get("verify_samples", 200),
@@ -284,8 +286,9 @@ def _run_orbit_dump(args, cfg):
 def _run_figure2(args, cfg):
     """verify -> edges (k<=3) -> synthetic catalog -> bands/weyl/concentrate.
 
-    The catalogue and the edges pass to the last three stages in memory; the
-    files hold the same values, since floats are written to round-trip.
+    The model is built once for every stage that needs it.  The catalogue
+    and the edges pass to the last three stages in memory; the files hold
+    the same values, since floats are written to round-trip.
     """
     from .birkhoff import space_average
     from .model import damping_observable
@@ -296,12 +299,12 @@ def _run_figure2(args, cfg):
         return argparse.Namespace(
             **dict(vars(args), out=os.path.join(args.out, name), **options))
 
-    _run_verify(sub("verify.json"), cfg)
-    edges = _run_band_edges(sub("band_edges.csv", k=3), cfg)
+    model = _model(cfg)
+    _run_verify(sub("verify.json"), cfg, model)
+    edges = _run_band_edges(sub("band_edges.csv", k=3), cfg, model)
     rl = _run_resonances(sub("resonances.json"), cfg)
     _run_bands(sub("bands.csv"), cfg, rl, edges)
     _run_weyl(sub("weyl.csv", k=0), cfg, rl)
-    model = _model(cfg)
     d_mean, _ = space_average(
         model, damping_observable(model, _potential(cfg)),
         cfg.get("n_samples", 20000), seed=args.seed,

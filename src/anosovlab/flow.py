@@ -40,24 +40,9 @@ from .fuchsian import (
     to_halfplane,
 )
 from .model import FlowModel, ObservableSpec
-from .surface import octagon_grid, sample_octagon_positions
+from .surface import sample_octagon_positions
 
 _RICCATI_CAP = 50.0
-
-
-def _psi_sup(model: FlowModel) -> float:
-    """Safe upper bound for e^{2 psi} on the polygon, for rejection sampling.
-
-    Grid maximum plus a margin generous against the grid spacing (the shape
-    varies on the scale of its sigma), capped by the trivial bound that every
-    bump is at most 1.  An over-estimate only costs acceptance rate; an
-    under-estimate makes ``sample_octagon_positions`` raise.
-    """
-    if model.is_exact:
-        return 1.0
-    grid_max = float(model.shape.value(octagon_grid(384, 48)).max())
-    bound = abs(model.epsilon) * min(grid_max + 0.05, float(model.shape.n_centers))
-    return float(np.exp(2.0 * bound))
 
 
 def sample_liouville(model: FlowModel, n: int, rng) -> Tuple[np.ndarray, np.ndarray]:
@@ -65,13 +50,14 @@ def sample_liouville(model: FlowModel, n: int, rng) -> Tuple[np.ndarray, np.ndar
 
     The invariant volume of the geodesic flow of e^{2 psi} g_hyp factors as
     (weighted area) x (uniform fibre angle); positions come from rejection
-    against hyperbolic area with weight e^{2 psi}.
+    against hyperbolic area with weight e^{2 psi}, thinned by the bound
+    ``model.weight_sup`` that model construction fixed.
     """
     if model.is_exact:
         z = sample_octagon_positions(n, rng)
     else:
         z = sample_octagon_positions(
-            n, rng, weight=model.conformal_weight, weight_sup=_psi_sup(model)
+            n, rng, weight=model.conformal_weight, weight_sup=model.weight_sup
         )
     theta = rng.uniform(0.0, 2.0 * np.pi, size=n)
     return z, theta

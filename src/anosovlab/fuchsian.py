@@ -265,13 +265,20 @@ def _word_levels(generators, max_len):
     """
     gens = np.asarray(generators, dtype=float)
     gen8 = np.concatenate([gens, np.linalg.inv(gens)])
+    # the 7 letters that may follow each letter: all but its inverse (no
+    # backtracking), so no product is formed and then dropped
+    follow = np.array([np.delete(np.arange(8), (j + 4) % 8) for j in range(8)])
     mats, last = gen8, np.arange(8)
     yield mats, np.zeros(8, dtype=int), last
     for _ in range(max_len - 1):
-        # skip the letter that would cancel the last one (no backtracking)
-        keep = np.arange(8)[None, :] != (last[:, None] + 4) % 8
-        parent, last = np.nonzero(keep)
-        mats = np.matmul(mats[:, None], gen8)[keep]
+        # one matmul per last letter; the next level is written in place,
+        # with no gathered copy of it
+        prod = np.empty((len(mats), 7, 2, 2))
+        for j in range(8):
+            rows = last == j
+            prod[rows] = np.matmul(mats[rows][:, None], gen8[follow[j]])
+        parent = np.repeat(np.arange(len(mats)), 7)
+        mats, last = prod.reshape(-1, 2, 2), follow[last].ravel()
         yield mats, parent, last
 
 

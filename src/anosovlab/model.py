@@ -14,7 +14,10 @@ Construction validates the model rather than trusting it: the truncated
 shape must be group-periodic to ``invariance_tol``, and the Gauss curvature
 e^{-2 psi} (-1 - Delta_hyp psi) must be negative on a polygon-covering grid,
 which also rejects perturbation strengths too large for the flow to stay
-Anosov by this certificate.
+Anosov by this certificate.  Construction also fixes ``weight_sup``, the
+bound on e^{2 psi} that Liouville sampling rejects against, once per model.
+Every grid scan runs through ``surface.blockwise``, so the working memory of
+construction is set by the block size, not by the grids.
 """
 from __future__ import annotations
 
@@ -25,7 +28,13 @@ import numpy as np
 
 from .errors import ConfigError, ModelValidationError
 from .fuchsian import DirichletDomain, bolza_generators
-from .surface import SECTOR_MARGIN, PerturbationShape, octagon_area, octagon_grid
+from .surface import (
+    SECTOR_MARGIN,
+    PerturbationShape,
+    blockwise,
+    octagon_area,
+    octagon_grid,
+)
 
 MODEL_KINDS = ("constant_curvature", "conformal_perturbation")
 
@@ -98,6 +107,14 @@ def damping_observable(model: "FlowModel", potential: PotentialSpec) -> Observab
 
 @dataclass(frozen=True)
 class FlowModel:
+    """A validated model with its construction certificates.
+
+    ``weight_sup`` bounds the conformal weight e^{2 psi} on the polygon for
+    rejection sampling: 1.0 on the exact model, else computed once by
+    ``build_model`` (see ``_weight_sup``), so each sampling call reads it
+    instead of scanning a grid.
+    """
+
     kind: str
     generators: np.ndarray
     domain: DirichletDomain
@@ -109,6 +126,7 @@ class FlowModel:
     area: float
     invariance_defect: float
     curvature_range: Tuple[float, float]
+    weight_sup: float
 
     @property
     def is_exact(self) -> bool:
@@ -138,12 +156,28 @@ class FlowModel:
         """Gauss curvature of e^{2 psi} g_hyp at half-plane points."""
         if self.is_exact:
             return np.full(np.shape(z), -1.0)
-        val, _, _, lap = self.shape.pack(z)
-        e = self.epsilon
-        return np.exp(-2.0 * e * val) * (-1.0 - e * lap)
+        return _curvature(self.shape, self.epsilon, z)
 
     def conformal_weight(self, z):
         return np.exp(2.0 * self.psi(z))
+
+
+def _curvature(shape, epsilon, z):
+    val, _, _, lap = shape.pack(z)
+    return np.exp(-2.0 * epsilon * val) * (-1.0 - epsilon * lap)
+
+
+def _weight_sup(shape, epsilon):
+    """Safe upper bound for e^{2 psi} on the polygon, for rejection sampling.
+
+    Grid maximum plus a margin generous against the grid spacing (the shape
+    varies on the scale of its sigma), capped by the trivial bound that every
+    bump is at most 1.  An over-estimate only costs acceptance rate; an
+    under-estimate makes ``sample_octagon_positions`` raise.
+    """
+    grid_max = float(blockwise(shape.value, octagon_grid(384, 48)).max())
+    bound = abs(epsilon) * min(grid_max + 0.05, float(shape.n_centers))
+    return float(np.exp(2.0 * bound))
 
 
 def build_model(config: Optional[Mapping] = None, **overrides) -> FlowModel:
@@ -186,6 +220,7 @@ def build_model(config: Optional[Mapping] = None, **overrides) -> FlowModel:
             area=4.0 * np.pi,
             invariance_defect=0.0,
             curvature_range=(-1.0, -1.0),
+            weight_sup=1.0,
         )
 
     epsilon = float(cfg["epsilon"])
@@ -204,9 +239,7 @@ def build_model(config: Optional[Mapping] = None, **overrides) -> FlowModel:
             "increase orbit_depth or shrink shape_sigma" % (defect, tol)
         )
 
-    z_scan = octagon_grid()
-    val, _, _, lap = shape.pack(z_scan)
-    k_scan = np.exp(-2.0 * epsilon * val) * (-1.0 - epsilon * lap)
+    k_scan = blockwise(lambda z: _curvature(shape, epsilon, z), octagon_grid())
     k_min, k_max = float(k_scan.min()), float(k_scan.max())
     if k_max >= 0.0:
         raise ModelValidationError(
@@ -227,4 +260,5 @@ def build_model(config: Optional[Mapping] = None, **overrides) -> FlowModel:
         area=float(area),
         invariance_defect=float(defect),
         curvature_range=(k_min, k_max),
+        weight_sup=_weight_sup(shape, epsilon),
     )

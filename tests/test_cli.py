@@ -455,7 +455,13 @@ class TestExplicitZeros:
 
 
 class TestFigurePipeline:
-    def test_smoke(self, tmp_path):
+    def test_smoke(self, tmp_path, monkeypatch):
+        from anosovlab import cli
+
+        builds = []
+        build = cli._model
+        monkeypatch.setattr(cli, "_model",
+                            lambda cfg: builds.append(cfg) or build(cfg))
         cfg = _cfg(tmp_path, FAST_EDGES + """
 mu_max = 60
 weyl_b = 5
@@ -478,6 +484,7 @@ n_samples = 2000
         assert bands_meta["n_violations"] == 0
         conc_meta = read_json(out_dir / "concentration.csv.meta.json")
         assert conc_meta["nonincreasing"] is True
+        assert len(builds) == 1  # one model serves every stage
 
     def test_in_memory_stages_match_standalone_pipelines(self, tmp_path):
         # reproduce-fig2 hands its catalogue and edges over in memory; the

@@ -1,8 +1,11 @@
 """Model construction, validation certificates, and observables."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from anosovlab.errors import ConfigError, ModelValidationError
+from anosovlab.flow import sample_liouville
 from anosovlab.model import (
     MODEL_DEFAULTS,
     ObservableSpec,
@@ -38,6 +41,7 @@ def test_exact_model_closed_forms(exact_model):
     np.testing.assert_array_equal(exact_model.conformal_weight(z), 1.0)
     assert exact_model.invariance_defect == 0.0
     assert exact_model.curvature_range == (-1.0, -1.0)
+    assert exact_model.weight_sup == 1.0
 
 
 def test_perturbed_model_certificates(perturbed_model):
@@ -51,6 +55,32 @@ def test_perturbed_model_certificates(perturbed_model):
     area = octagon_area(weight=m.conformal_weight)
     assert m.area == pytest.approx(area, rel=1e-12)
     assert abs(m.area - 4.0 * np.pi) < 0.5
+
+
+def test_perturbed_certificates_are_pinned(perturbed_fine):
+    # the default perturbed config; blocked grid scans keep every bit
+    m = perturbed_fine
+    assert m.invariance_defect == 7.799499143293496e-13
+    assert m.curvature_range == (-1.0885777833626473, -0.16619462780252858)
+    assert m.area == 12.648569070987396
+    assert m.weight_sup == 1.1107106103557052
+
+
+def test_perturbed_construction_and_sampling_memory():
+    # construction scans its grids in blocks, and sampling reads the stored
+    # bound instead of scanning an 18 433-point grid per call
+    tracemalloc.start()
+    try:
+        m = build_model(model="conformal_perturbation")
+        build_peak = tracemalloc.get_traced_memory()[1]
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        sample_liouville(m, 64, np.random.default_rng(0))
+        sample_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert build_peak <= 16e6
+    assert sample_peak < 1e6
 
 
 def test_psi_pack_matches_shape(perturbed_model):

@@ -12,6 +12,7 @@ from anosovlab.fuchsian import (
     to_halfplane,
 )
 from anosovlab.surface import (
+    BLOCK_POINTS,
     N_SECTORS,
     SECTOR_MARGIN,
     PerturbationShape,
@@ -135,6 +136,22 @@ class TestPerturbationShape:
     def test_defect_certificates(self):
         assert self.shape.invariance_defect(self.gens) < 1e-10
         assert self.shape.pruning_gap(octagon_grid()) < 1e-13
+
+    def test_blocked_orbit_sum_is_bit_identical(self):
+        # the certificate grid is not a whole number of blocks
+        z = octagon_grid(margin=SECTOR_MARGIN)
+        assert len(z) == 4609 and len(z) % BLOCK_POINTS != 0
+        one_shot = self.shape._bumps(z, self.shape.all_centers)
+        np.testing.assert_array_equal(self.shape.value_full(z), one_shot)
+        # 2-d and 0-d arguments keep their shape and bits
+        z2 = z[:2 * 300].reshape(2, 300)
+        full2 = self.shape.value_full(z2)
+        assert full2.shape == (2, 300)
+        np.testing.assert_array_equal(full2, one_shot[:600].reshape(2, 300))
+        full0 = self.shape.value_full(z[7])
+        assert np.shape(full0) == ()
+        np.testing.assert_array_equal(
+            full0, self.shape._bumps(z[7], self.shape.all_centers))
 
     def test_pack_against_finite_differences(self):
         rng = np.random.default_rng(42)
