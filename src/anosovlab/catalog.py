@@ -22,7 +22,7 @@ written to files under the names in BAND_NAMES.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Union
+from typing import Union
 
 import numpy as np
 
@@ -77,24 +77,6 @@ class ResonanceList:
 
     def __len__(self):
         return len(self.band)
-
-    def band_entries(self, k: int) -> "ResonanceList":
-        sel = self.band == k
-        return ResonanceList(self.re[sel], self.im[sel], self.band[sel],
-                             self.provenance[sel])
-
-    def zs(self) -> np.ndarray:
-        z = self.re.astype(complex)
-        z.imag = self.im
-        return z
-
-    def records(self) -> List[dict]:
-        return [
-            {"re": re, "im": im, "band": band_label(b), "provenance": p}
-            for re, im, b, p in zip(self.re.tolist(), self.im.tolist(),
-                                    self.band.tolist(),
-                                    self.provenance.tolist())
-        ]
 
 
 @dataclass(frozen=True)

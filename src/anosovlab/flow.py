@@ -10,7 +10,7 @@ Every state triple (z, theta, u) carries the unstable rate u.
   matrices, the flow is right multiplication by diag(e^{t/2}, e^{-t/2}),
   ``advance`` is one jump by a signed time, and u is identically 1, so
   orbit integrals are closed forms and none is taken.
-* ``MidpointEnsemble`` (any conformal factor): states are half-plane
+* ``MidpointEnsemble`` (perturbed models only): states are half-plane
   positions z and covectors xi of the Hamiltonian H = e^{-2 psi} y^2 |xi|^2/2
   on the level H = 1/2, advanced by the implicit midpoint rule at the model
   step with a fixed iteration count, so runs are bit-reproducible.  u rides
@@ -180,8 +180,8 @@ class ExactEnsemble:
 class MidpointEnsemble:
     """Hamiltonian ensemble advanced by the implicit midpoint rule.
 
-    Works for any model kind; with epsilon = 0 it must agree with the exact
-    backend, which the tests exploit.  State arrays: positions ``z``
+    Perturbed models only; one built with epsilon = 0 must agree with the
+    exact backend, which the tests exploit.  State arrays: positions ``z``
     (complex), covectors ``xi`` (complex, xi_x + i xi_y), unstable rates
     ``u``.
     """
@@ -189,6 +189,8 @@ class MidpointEnsemble:
     n_iter = 4  # fixed-point iterations per step; fixed for reproducibility
 
     def __init__(self, model: FlowModel, z, theta_h):
+        if model.is_exact:
+            raise ConfigError("midpoint backend requires a perturbed model")
         self.model = model
         self.h = model.step
         self.z = np.array(z, dtype=complex)
@@ -209,14 +211,15 @@ class MidpointEnsemble:
 
     def _force(self, z, xi, curvature, centers):
         """Hamiltonian vector field at (z, xi), plus the Gauss curvature there
-        when asked (None otherwise); the shape sums over ``centers``."""
-        psi, px, py, lap = self.model.psi_pack(z, curvature, centers)
+        when asked (None otherwise), for psi = epsilon * (shape over centers)."""
+        e = self.model.epsilon
+        val, gx, gy, lap = self.model.shape.pack(z, curvature, centers)
         y = z.imag
-        e2 = np.exp(-2.0 * psi)
+        e2 = np.exp(-2.0 * (e * val))
         s = (xi * np.conj(xi)).real
         vz = e2 * y * y * xi
-        vxi = e2 * y * s * (y * px + 1j * (y * py - 1.0))
-        curv = e2 * (-1.0 - lap) if curvature else None
+        vxi = e2 * y * s * (y * (e * gx) + 1j * (y * (e * gy) - 1.0))
+        curv = e2 * (-1.0 - e * lap) if curvature else None
         return vz, vxi, curv
 
     def step(self):
@@ -226,8 +229,7 @@ class MidpointEnsemble:
         mz, mxi = z0, xi0
         # No iterate moves further than the step from the reduced start
         # point, so the sector lists looked up there serve every pass.
-        shape = self.model.shape
-        centers = None if shape is None else shape.sector_centers(z0)
+        centers = self.model.shape.sector_centers(z0)
         for i in range(self.n_iter):
             # The Riccati update reads the curvature of the last force
             # evaluation only.
@@ -312,8 +314,9 @@ def dual_seeds(model: FlowModel, n_random: int, rng, word_length: int = 6,
     z_r, th_r = sample_liouville(model, n_random, rng)
     if max_closed <= 0:
         return z_r, th_r
-    g = np.stack([axis_seed(m)[0] for m, _ in closed_geodesic_elements(
-        model.generators, word_length, limit=max_closed)])
+    mats, _ = closed_geodesic_elements(model.generators, word_length,
+                                       limit=max_closed)
+    g = axis_seed(mats)[0]
     model.domain.reduce_matrices(g)
     return (np.concatenate([z_r, matrix_base_point(g)]),
             np.concatenate([th_r, matrix_angle_hp(g)]))

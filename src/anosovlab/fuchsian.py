@@ -38,6 +38,10 @@ _Q = float(np.tanh(APOTHEM))  # disk radius of the neighbouring centres
 _HALF_Q = 0.5 * _Q * (1.0 + 1e-15)  # bisector test, with a strict margin
 _IN_R2 = float(np.tanh(0.5 * APOTHEM)) ** 2 * (1.0 - 1e-12)  # in-radius^2, shrunk
 _TURN = np.exp(-0.25j * np.pi * np.arange(8))  # turns neighbour j onto the axis
+# the 7 letters that may follow each letter: all but its inverse (no
+# backtracking), so no product is formed and then dropped
+_FOLLOW = np.array([np.delete(np.arange(8), (j + 4) % 8) for j in range(8)])
+_BLOCK_PARENTS = 2048  # parents per block of the longest words' level
 
 _CAYLEY = np.array([[1.0, -1j], [1.0, 1j]])
 _CAYLEY_INV = np.linalg.inv(_CAYLEY)
@@ -153,8 +157,7 @@ class DirichletDomain:
             raise ModelValidationError(
                 "generators must have unit determinant, got det = %s" % dets)
         self.generators = generators
-        inv = np.linalg.inv(generators)
-        self.neighbors = np.concatenate([generators, inv])         # (8,2,2)
+        self.neighbors = _letters(generators)
         off = np.abs(to_disk(mobius(self.neighbors, 1j)) * _TURN - _Q)
         if np.any(off > 1e-12):  # the layout that _reduce relies on
             raise ModelValidationError("not the regular octagon's layout: %s" % off)
@@ -254,31 +257,37 @@ class DirichletDomain:
         return self._reduce(disk_point(g), move)
 
 
+def _letters(generators):
+    """[g0..g3, g0^-1..g3^-1], shape (8, 2, 2): the letters of the words."""
+    gens = np.asarray(generators, dtype=float)
+    return np.concatenate([gens, np.linalg.inv(gens)])
+
+
+def _children(mats, last, gen8):
+    """Products and last letters of the words (mats, last) extended by one
+    letter of gen8, parent-major with the appended letter minor."""
+    # one matmul per last letter, written in place: no gathered copy
+    prod = np.empty((len(mats), 7, 2, 2))
+    for j in range(8):
+        rows = last == j
+        prod[rows] = np.matmul(mats[rows][:, None], gen8[_FOLLOW[j]])
+    return prod.reshape(-1, 2, 2), _FOLLOW[last].ravel()
+
+
 def _word_levels(generators, max_len):
     """Reduced words of lengths 1..max_len, one level at a time.
 
     Yields (mats, parent, last) per level: the (k, 2, 2) products, the index
     of each word's prefix in the previous level, and its last letter (an
     index into [g0..g3, g0^-1..g3^-1]).  Words come parent-major with the
-    appended letter minor, and every product is one matmul of its prefix by
-    a generator.
+    appended letter minor (see ``_children``).
     """
-    gens = np.asarray(generators, dtype=float)
-    gen8 = np.concatenate([gens, np.linalg.inv(gens)])
-    # the 7 letters that may follow each letter: all but its inverse (no
-    # backtracking), so no product is formed and then dropped
-    follow = np.array([np.delete(np.arange(8), (j + 4) % 8) for j in range(8)])
-    mats, last = gen8, np.arange(8)
+    mats = gen8 = _letters(generators)
+    last = np.arange(8)
     yield mats, np.zeros(8, dtype=int), last
     for _ in range(max_len - 1):
-        # one matmul per last letter; the next level is written in place,
-        # with no gathered copy of it
-        prod = np.empty((len(mats), 7, 2, 2))
-        for j in range(8):
-            rows = last == j
-            prod[rows] = np.matmul(mats[rows][:, None], gen8[follow[j]])
         parent = np.repeat(np.arange(len(mats)), 7)
-        mats, last = prod.reshape(-1, 2, 2), follow[last].ravel()
+        mats, last = _children(mats, last, gen8)
         yield mats, parent, last
 
 
@@ -314,21 +323,29 @@ def closed_geodesic_elements(generators, max_len, limit=None):
 
     Conjugate words and inverses share the trace, so round(|trace|, 9) is a
     cheap conjugacy-class proxy; completeness is not needed, diversity is.
-    Each key keeps its first word in `_word_levels` order (first per level,
-    then first among the levels' survivors); a stable sort keeps that order
-    among equal lengths.  Returns a list of (matrix, length) with
-    length = 2 arccosh(|tr| / 2).
+    Each key keeps its first word in `_word_levels` order: first per level
+    (the last level, never formed whole, per block of parents), then first
+    among the survivors; a stable sort keeps that order among equal lengths.
+    Returns the (k, 2, 2) matrices and their lengths 2 arccosh(|tr| / 2).
     """
-    mats, tr = _first_per_key(np.concatenate([
-        _first_per_key(level)[0]
-        for level, _, _ in _word_levels(generators, max_len)]))
+    firsts = []
+    for mats, _, last in _word_levels(generators, max_len - 1):
+        firsts.append(_first_per_key(mats)[0])
+    if max_len > 1:  # the level of max_len, a block of parents at a time
+        gen8 = _letters(generators)
+        for start in range(0, len(mats), _BLOCK_PARENTS):
+            block = slice(start, start + _BLOCK_PARENTS)
+            firsts.append(_first_per_key(
+                _children(mats[block], last[block], gen8)[0])[0])
+    mats, tr = _first_per_key(np.concatenate(firsts))
     lengths = 2.0 * np.arccosh(0.5 * tr)
     order = np.argsort(lengths, kind="stable")[:limit]
-    return list(zip(mats[order], lengths[order].tolist()))
+    return mats[order], lengths[order]
 
 
 def axis_seed(m):
-    """A phase point on the axis of a hyperbolic element, and its period.
+    """Phase points on the axes of a stack of hyperbolic elements, and their
+    periods.
 
     Diagonalising m = P a(ell) P^{-1} with det P = 1 makes g = P a point whose
     forward orbit closes after time ell = 2 arccosh(|tr m| / 2): indeed
@@ -337,12 +354,10 @@ def axis_seed(m):
     ev, P = np.linalg.eig(np.asarray(m, dtype=float))
     if np.max(np.abs(ev.imag)) > 1e-9:
         raise ValueError("element is not hyperbolic")
-    order = np.argsort(-np.abs(ev.real))
-    P = P.real[:, order]
-    det = float(np.linalg.det(P))
-    if det < 0:
-        P[:, 1] *= -1.0
-        det = -det
-    P = P / np.sqrt(det)
-    ell = 2.0 * np.log(abs(float(ev.real[order][0])))
+    order = np.argsort(-np.abs(ev.real), axis=-1)
+    P = np.take_along_axis(P.real, order[:, None, :], axis=-1)
+    det = np.linalg.det(P)
+    P[det < 0, :, 1] *= -1.0
+    P /= np.sqrt(np.abs(det))[:, None, None]
+    ell = 2.0 * np.log(np.abs(np.take_along_axis(ev.real, order, axis=-1)[:, 0]))
     return P, ell

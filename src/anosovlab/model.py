@@ -6,9 +6,9 @@ conformal factor e^{2 psi} with psi = epsilon * shape.  Two kinds exist:
 * ``constant_curvature``: epsilon = 0.  Orbits are matrix products, the
   unstable expansion rate is identically 1, and everything downstream has
   closed forms to test against.
-* ``conformal_perturbation``: epsilon != 0.  Orbits come from a symplectic
-  integrator and expansion rates from a Riccati equation; the constant case
-  remains available as the epsilon -> 0 limit of the same code path.
+* ``conformal_perturbation``: orbits come from a symplectic integrator and
+  expansion rates from a Riccati equation; at epsilon = 0 this is the constant
+  metric on the integrator's path, which the tests compare to the closed forms.
 
 Construction validates the model rather than trusting it: the truncated
 shape must be group-periodic to ``invariance_tol``, and the Gauss curvature
@@ -136,27 +136,6 @@ class FlowModel:
         if self.is_exact:
             return np.zeros(np.shape(z))
         return self.epsilon * self.shape.value(z)
-
-    def psi_pack(self, z, laplacian=True, centers=None):
-        """(psi, dpsi/dx, dpsi/dy, hyperbolic Laplacian of psi).
-
-        With ``laplacian=False`` the Laplacian is skipped and returned as None.
-        ``centers`` are the bump centres to sum over, as for
-        ``PerturbationShape.pack``; the exact model ignores them.
-        """
-        if self.is_exact:
-            zero = np.zeros(np.shape(z))
-            lap = zero.copy() if laplacian else None
-            return zero, zero.copy(), zero.copy(), lap
-        val, gx, gy, lap = self.shape.pack(z, laplacian, centers)
-        e = self.epsilon
-        return e * val, e * gx, e * gy, (e * lap if laplacian else None)
-
-    def curvature(self, z):
-        """Gauss curvature of e^{2 psi} g_hyp at half-plane points."""
-        if self.is_exact:
-            return np.full(np.shape(z), -1.0)
-        return _curvature(self.shape, self.epsilon, z)
 
     def conformal_weight(self, z):
         return np.exp(2.0 * self.psi(z))

@@ -40,6 +40,7 @@ from .fuchsian import (
     VERTEX_RADIUS,
     _Q,
     cosh_dist_hp,
+    _letters,
     _word_levels,
     dist_hp,
     mobius,
@@ -364,10 +365,8 @@ class PerturbationShape:
         rng = np.random.default_rng(seed)
         z = sample_octagon_positions(n, rng)
         v0 = self.value_full(z)
-        gens = np.asarray(generators)
-        mats = np.concatenate([gens, np.linalg.inv(gens)])
         worst = 0.0
-        for m in mats:
+        for m in _letters(generators):
             worst = max(
                 worst, float(np.max(np.abs(self.value_full(mobius(m, z)) - v0)))
             )

@@ -179,7 +179,9 @@ def _float_text(column: np.ndarray) -> np.ndarray:
 
 
 def write_resonances(path, resonances: ResonanceList) -> None:
-    """The bytes write_json would give for ``resonances.records()``.
+    """The bytes write_json would give for the entries as a list of records
+    {"re", "im", "band" (its file value), "provenance"}, in column order.
+    That list, built entry by entry, is the byte reference in the tests.
 
     json's indenting encoder runs in pure Python and dominates the time on
     catalogues of tens of thousands.  Here each distinct float, band code and

@@ -15,9 +15,10 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
+from anosovlab.catalog import ResonanceList, band_label  # noqa: E402
 from anosovlab.flow import make_ensemble  # noqa: E402
 from anosovlab.fuchsian import cosh_dist_hp, mobius  # noqa: E402
-from anosovlab.model import build_model  # noqa: E402
+from anosovlab.model import _curvature, build_model  # noqa: E402
 
 
 @pytest.fixture(scope="session")
@@ -58,8 +59,55 @@ def flow_map():
 
 
 @pytest.fixture(scope="session")
+def curvature():
+    """curvature(model, z): Gauss curvature of a perturbed model's metric
+    e^{2 psi} g_hyp at half-plane points, by the formula construction scans."""
+    return lambda model, z: _curvature(model.shape, model.epsilon, z)
+
+
+@pytest.fixture(scope="session")
+def catalog_z():
+    """catalog_z(resonances): the entries of a catalogue as complex numbers."""
+    def entries(rl):
+        z = rl.re.astype(complex)
+        z.imag = rl.im
+        return z
+    return entries
+
+
+@pytest.fixture(scope="session")
+def band_entries():
+    """band_entries(resonances, k): the catalogue of the entries in band k."""
+    def select(rl, k):
+        sel = rl.band == k
+        return ResonanceList(rl.re[sel], rl.im[sel], rl.band[sel],
+                             rl.provenance[sel])
+    return select
+
+
+@pytest.fixture(scope="session")
+def records():
+    """records(resonances): the catalogue as a list of dicts, built entry by
+    entry; json.dumps of it is the byte reference for write_resonances."""
+    def build(rl):
+        return [
+            {"re": re, "im": im, "band": band_label(b), "provenance": p}
+            for re, im, b, p in zip(rl.re.tolist(), rl.im.tolist(),
+                                    rl.band.tolist(), rl.provenance.tolist())
+        ]
+    return build
+
+
+@pytest.fixture(scope="session")
 def exact_model():
     return build_model(model="constant_curvature")
+
+
+@pytest.fixture(scope="session")
+def unperturbed_model():
+    # epsilon = 0 on the perturbed kind: the exact metric on the midpoint
+    # backend's path, at the exact model's step
+    return build_model(model="conformal_perturbation", epsilon=0.0)
 
 
 @pytest.fixture(scope="session")

@@ -223,7 +223,8 @@ class TestArtifacts:
         main(["resonances", "--out", str(out)])
         assert "resonances" in capsys.readouterr().out
 
-    def test_correlate_then_invert(self, tmp_path, conjugation_defect):
+    def test_correlate_then_invert(self, tmp_path, conjugation_defect,
+                                   catalog_z):
         cfg = _cfg(tmp_path, "dt = 0.25\nn_lags = 120\nn_samples = 4000\n")
         series_path = tmp_path / "series.csv"
         assert main(["correlate", "--config", cfg, "--quiet",
@@ -236,7 +237,7 @@ class TestArtifacts:
                      "--max-modes", "4", "--quiet",
                      "--out", str(modes_path)]) == 0
         modes = read_resonances(modes_path)
-        zs = modes.zs()
+        zs = catalog_z(modes)
         assert len(zs) >= 1
         assert np.all(zs.real < 0.0)
         # inverted output remains closed under conjugation
@@ -251,7 +252,8 @@ class TestArtifacts:
         assert (meta["n_samples"], meta["n_orbits"], meta["stride"],
                 meta["orbit_length"]) == (100, 5, 2, 68)
 
-    def test_invert_drops_modes_below_the_noise_floor(self, tmp_path):
+    def test_invert_drops_modes_below_the_noise_floor(self, tmp_path,
+                                                      catalog_z):
         # at this seed the unfiltered inversion returns a growing mode whose
         # amplitude lies far below 5 median(stderr) of the series
         cfg = _cfg(tmp_path, "dt = 0.25\nn_lags = 120\nn_samples = 4000\n")
@@ -263,7 +265,7 @@ class TestArtifacts:
         assert main(["invert", "--series", str(series_path), "--seed", "1",
                      "--max-modes", "4", "--quiet",
                      "--out", str(modes_path)]) == 0
-        zs = read_resonances(modes_path).zs()
+        zs = catalog_z(read_resonances(modes_path))
         assert len(zs) >= 1
         assert np.all(zs.real < 0.0)
         meta = read_json(sidecar_path(modes_path))
@@ -272,7 +274,7 @@ class TestArtifacts:
         assert meta["n_modes"] == len(zs)
         assert meta["n_modes"] + meta["n_dropped"] <= 4
 
-    def test_invert_keeps_every_mode_without_noise(self, tmp_path):
+    def test_invert_keeps_every_mode_without_noise(self, tmp_path, catalog_z):
         from anosovlab.correlation import CorrelationSeries
         from anosovlab.tableio import write_series
 
@@ -287,7 +289,7 @@ class TestArtifacts:
         meta = read_json(sidecar_path(out))
         assert meta["noise_floor"] == 0.0
         assert meta["n_dropped"] == 0
-        assert meta["n_modes"] == len(read_resonances(out).zs()) == 3
+        assert meta["n_modes"] == len(catalog_z(read_resonances(out))) == 3
 
     def test_weyl_artifact(self, tmp_path):
         res = tmp_path / "r.json"
@@ -321,7 +323,7 @@ class TestArtifacts:
         # the reproduce-fig2 catalogue size (32 008 entries) and its band
         # tally against the closed-form edges -1/2 - k; the digests pin the
         # order and every bit of the files, which a comparison of the
-        # writer with records() cannot
+        # writer with the records reference cannot
         from anosovlab.birkhoff import BandEdges
         from anosovlab.tableio import write_band_edges
 

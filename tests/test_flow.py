@@ -80,11 +80,11 @@ def test_time_reversal_exact(exact_model, flow_map):
     _angles_close(fwd_th, bwd_th + np.pi, 1e-9)
 
 
-def test_midpoint_matches_exact_backend(exact_model):
+def test_midpoint_matches_exact_backend(exact_model, unperturbed_model):
     # epsilon = 0 runs through the Hamiltonian path must shadow the matrix flow
     rng = np.random.default_rng(63)
     z, th = sample_liouville(exact_model, 20, rng)
-    mid = MidpointEnsemble(dataclasses.replace(exact_model, step=0.01), z, th)
+    mid = MidpointEnsemble(dataclasses.replace(unperturbed_model, step=0.01), z, th)
     mid.advance(3.0)
     ex = ExactEnsemble.from_states(exact_model, z, th)
     ex.advance(3.0)
@@ -116,10 +116,10 @@ def test_energy_conservation(perturbed_model):
     assert devs[-1] < 3.0 * max(devs[0], 1e-9)
 
 
-def test_riccati_stationary_at_epsilon_zero(exact_model):
+def test_riccati_stationary_at_epsilon_zero(unperturbed_model):
     z = np.array([0.1 + 1.0j, -0.3 + 0.8j])
     th = np.array([0.4, 2.2])
-    model = dataclasses.replace(exact_model, step=0.01)
+    model = dataclasses.replace(unperturbed_model, step=0.01)
     ens = MidpointEnsemble(model, z, th)
     ens.advance(5.0)
     np.testing.assert_array_equal(ens.u, 1.0)  # exact fixed point of the scheme
@@ -141,16 +141,16 @@ def test_riccati_invariant_window(perturbed_model):
     assert np.all(ens.u <= hi + 1e-6)
 
 
-def test_riccati_blowup_raises(exact_model):
+def test_riccati_blowup_raises(unperturbed_model):
     # u below the unstable branch runs away in finite time
-    ens = MidpointEnsemble(dataclasses.replace(exact_model, step=0.01),
+    ens = MidpointEnsemble(dataclasses.replace(unperturbed_model, step=0.01),
                            np.array([1j]), np.array([0.0]))
     ens.u = np.array([-5.0])
     with pytest.raises(RiccatiBlowupError):
         ens.advance(2.0)
 
 
-def test_riccati_residual_fine(perturbed_fine):
+def test_riccati_residual_fine(perturbed_fine, curvature):
     # recorded u must satisfy du/dt = -K - u^2 against a high-order stencil
     rng = np.random.default_rng(66)
     z, th = sample_liouville(perturbed_fine, 8, rng)
@@ -165,7 +165,7 @@ def test_riccati_residual_fine(perturbed_fine):
     zz = np.stack(zs)
     h = ens.h
     du = (-u[4:] + 8.0 * u[3:-1] - 8.0 * u[1:-3] + u[:-4]) / (12.0 * h)
-    k = perturbed_fine.curvature(zz[2:-2])
+    k = curvature(perturbed_fine, zz[2:-2])
     resid = np.abs(du + k + u[2:-2] ** 2)
     assert resid.max() < 1e-6
 
@@ -261,7 +261,7 @@ def test_reduction_cap_raises(exact_model):
         ExactEnsemble.from_states(exact_model, z, th).advance(100.0)
 
 
-def test_guards(exact_model, perturbed_model, flow_map):
+def test_guards(exact_model, perturbed_model, unperturbed_model, flow_map):
     # a refused call leaves the time and every state array as they were
     z, th = np.array([1j, 0.2 + 0.9j]), np.array([0.0, 1.0])
     ex = ExactEnsemble.from_states(exact_model, z, th)
@@ -284,7 +284,7 @@ def test_guards(exact_model, perturbed_model, flow_map):
         for a, b in zip((ens.z, ens.xi, ens.u), state):
             np.testing.assert_array_equal(a, b)
     # so does a step refused for a runaway rate (u below the unstable branch)
-    ens = MidpointEnsemble(dataclasses.replace(exact_model, step=0.01), z, th)
+    ens = MidpointEnsemble(dataclasses.replace(unperturbed_model, step=0.01), z, th)
     ens.u = np.full(2, -5.0)
     with pytest.raises(RiccatiBlowupError):
         while True:
@@ -297,13 +297,15 @@ def test_guards(exact_model, perturbed_model, flow_map):
         flow_map(perturbed_model, z, th, -1.0)
     with pytest.raises(ConfigError):
         ExactEnsemble(perturbed_model, np.eye(2))
+    with pytest.raises(ConfigError):  # and the midpoint backend the reverse
+        MidpointEnsemble(exact_model, z, th)
 
 
 @pytest.mark.parametrize("bad", [np.nan, -np.inf])
-def test_non_finite_rate_is_refused(exact_model, bad):
+def test_non_finite_rate_is_refused(unperturbed_model, bad):
     # a NaN rate fails every comparison; the blow-up test must still refuse
     # the step and leave the ensemble as it was
-    ens = MidpointEnsemble(exact_model, np.array([1j, 0.2 + 0.9j]),
+    ens = MidpointEnsemble(unperturbed_model, np.array([1j, 0.2 + 0.9j]),
                            np.array([0.0, 1.0]))
     ens.u = np.array([1.0, bad])
     state = [ens.z.copy(), ens.xi.copy(), ens.u.copy()]
@@ -490,7 +492,10 @@ def test_pack_without_laplacian_is_bit_identical(perturbed_model):
     assert lap is None
     for a, b in zip(full[:3], (val, gx, gy)):
         np.testing.assert_array_equal(a, b)
-    psi = perturbed_model.psi_pack(z, laplacian=False)
-    assert psi[3] is None
-    for a, b in zip(perturbed_model.psi_pack(z)[:3], psi[:3]):
+    # so is the force, which applies epsilon to the pack
+    ens = MidpointEnsemble(perturbed_model, z, np.zeros(len(z)))
+    centers = shape.sector_centers(z)
+    force = ens._force(ens.z, ens.xi, False, centers)
+    assert force[2] is None
+    for a, b in zip(ens._force(ens.z, ens.xi, True, centers)[:2], force[:2]):
         np.testing.assert_array_equal(a, b)

@@ -1,4 +1,6 @@
 """Group model of the genus-2 surface: generators, reduction, words, axes."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from anosovlab.fuchsian import (
     TRANSLATION_LENGTH,
     VERTEX_RADIUS,
     DirichletDomain,
+    _first_per_key,
     _round9,
     _word_levels,
     axis_seed,
@@ -448,10 +451,9 @@ def test_batched_words_match_loop_reference():
         by_length = sorted(entries[:n_keys[max_len]], key=lambda t: t[1])
         for limit in (24, 64, 128, None):
             expect = by_length[:limit]
-            els = closed_geodesic_elements(g, max_len, limit)
-            assert [ell for _, ell in els] == [ell for _, ell in expect]
-            np.testing.assert_array_equal(np.array([m for m, _ in els]),
-                                          np.array([m for m, _ in expect]))
+            mats, lengths = closed_geodesic_elements(g, max_len, limit)
+            assert lengths.tolist() == [ell for _, ell in expect]
+            np.testing.assert_array_equal(mats, np.array([m for m, _ in expect]))
 
 
 def test_trace_keys_match_python_round():
@@ -467,23 +469,80 @@ def test_trace_keys_match_python_round():
 
 def test_closed_geodesics_systole_and_axes():
     g = bolza_generators()
-    els = closed_geodesic_elements(g, 4)
-    assert len(els) == 35  # distinct |trace| classes through length 4
-    lengths = [ell for _, ell in els]
+    mats, lengths = closed_geodesic_elements(g, 4)
+    assert len(mats) == 35  # distinct |trace| classes through length 4
+    lengths = lengths.tolist()
     assert lengths == sorted(lengths)
     assert lengths[0] == pytest.approx(TRANSLATION_LENGTH, abs=1e-12)
 
-    for m, ell in els[:5]:
-        seed, period = axis_seed(m)
+    for m, ell, seed, period in zip(mats, lengths, *axis_seed(mats[:5])):
         assert period == pytest.approx(ell, rel=1e-12)
         conj = np.linalg.inv(seed) @ m @ seed
         flow = np.diag([np.exp(0.5 * ell), np.exp(-0.5 * ell)])
         np.testing.assert_allclose(conj, flow, atol=1e-9)
 
-    assert len(closed_geodesic_elements(g, 6, limit=128)) == 128
+    assert len(closed_geodesic_elements(g, 6, limit=128)[0]) == 128
 
 
 def test_axis_seed_rejects_elliptic():
     rot = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]])
     with pytest.raises(ValueError):
-        axis_seed(rot)
+        axis_seed(rot[None])
+
+
+# (word length, limit): no block, one block, two, and many with a partial last
+_ENUMERATIONS = ((1, None), (2, 5), (3, 10), (4, 24), (4, 64), (4, 128),
+                 (5, None), (6, None), (6, 128), (7, 128))
+
+
+def _one_shot_elements(g, max_len, limit=None):
+    """Reference: every level formed whole, first per key per level, then
+    first among the levels' survivors, sorted stably by length."""
+    mats, tr = _first_per_key(np.concatenate([
+        _first_per_key(level)[0] for level, _, _ in _word_levels(g, max_len)]))
+    lengths = 2.0 * np.arccosh(0.5 * tr)
+    order = np.argsort(lengths, kind="stable")[:limit]
+    return mats[order], lengths[order]
+
+
+def test_blocked_last_level_matches_one_shot():
+    g = bolza_generators()
+    for max_len, limit in _ENUMERATIONS:
+        got = closed_geodesic_elements(g, max_len, limit)
+        for a, b in zip(got, _one_shot_elements(g, max_len, limit)):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+    # the level-6 products are never all held at once (one shot: 14.5 MB)
+    tracemalloc.start()
+    try:
+        closed_geodesic_elements(g, 6, 128)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6
+
+
+def _axis_seed_loop(m):
+    """Reference: one element at a time, one eig and one det call each."""
+    ev, P = np.linalg.eig(np.asarray(m, dtype=float))
+    order = np.argsort(-np.abs(ev.real))
+    P = P.real[:, order]
+    det = float(np.linalg.det(P))
+    if det < 0:
+        P[:, 1] *= -1.0
+        det = -det
+    P = P / np.sqrt(det)
+    return P, 2.0 * np.log(abs(float(ev.real[order][0])))
+
+
+def test_stacked_axis_seeds_match_per_matrix_loop():
+    g = bolza_generators()
+    for max_len, limit in ((6, 128), (4, 128), (4, 24), (7, 128)):
+        mats, _ = closed_geodesic_elements(g, max_len, limit)
+        # the inverses' sorted eigenvector matrices have det < 0, so both
+        # branches of the sign fix run in one stack
+        mats = np.concatenate([mats, np.linalg.inv(mats)])
+        P, ell = axis_seed(mats)
+        ref = [_axis_seed_loop(m) for m in mats]
+        np.testing.assert_array_equal(P, np.array([p for p, _ in ref]))
+        np.testing.assert_array_equal(ell, np.array([e for _, e in ref]))

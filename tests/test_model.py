@@ -37,7 +37,6 @@ def test_exact_model_closed_forms(exact_model):
     assert exact_model.area == pytest.approx(4.0 * np.pi, rel=1e-15)
     z = np.array([1j, 0.3 + 0.9j])
     np.testing.assert_array_equal(exact_model.psi(z), 0.0)
-    np.testing.assert_array_equal(exact_model.curvature(z), -1.0)
     np.testing.assert_array_equal(exact_model.conformal_weight(z), 1.0)
     assert exact_model.invariance_defect == 0.0
     assert exact_model.curvature_range == (-1.0, -1.0)
@@ -83,20 +82,14 @@ def test_perturbed_construction_and_sampling_memory():
     assert sample_peak < 1e6
 
 
-def test_psi_pack_matches_shape(perturbed_model):
+def test_psi_matches_shape(perturbed_model):
     m = perturbed_model
     rng = np.random.default_rng(50)
     z = sample_octagon_positions(20, rng)
-    val, gx, gy, lap = m.psi_pack(z)
-    sval, sgx, sgy, slap = m.shape.pack(z)
-    np.testing.assert_allclose(val, m.epsilon * sval, rtol=1e-14)
-    np.testing.assert_allclose(gx, m.epsilon * sgx, rtol=1e-14)
-    np.testing.assert_allclose(gy, m.epsilon * sgy, rtol=1e-14)
-    np.testing.assert_allclose(lap, m.epsilon * slap, rtol=1e-14)
     np.testing.assert_allclose(m.psi(z), m.epsilon * m.shape.value(z), rtol=1e-14)
 
 
-def test_curvature_formula_by_finite_differences(perturbed_model):
+def test_curvature_formula_by_finite_differences(perturbed_model, curvature):
     m = perturbed_model
     rng = np.random.default_rng(51)
     z = sample_octagon_positions(15, rng)
@@ -107,7 +100,7 @@ def test_curvature_formula_by_finite_differences(perturbed_model):
         - 4.0 * psi0
     ) / (h * h)
     k_fd = np.exp(-2.0 * psi0) * (-1.0 - z.imag**2 * flat_lap)
-    np.testing.assert_allclose(m.curvature(z), k_fd, atol=1e-4)
+    np.testing.assert_allclose(curvature(m, z), k_fd, atol=1e-4)
 
 
 def test_validation_rejects_strong_perturbations():
