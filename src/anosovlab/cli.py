@@ -393,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bmax", type=float)
 
     sub.add_parser("verify-anosov", parents=[common],
-                   help="hyperbolicity, contact, and volume checks")
+                   help="hyperbolicity, energy-drift, and volume checks")
 
     p = sub.add_parser("orbit-dump", parents=[common],
                        help="one sampled orbit as CSV (t,x,y,theta,u,D)")

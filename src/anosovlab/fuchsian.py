@@ -190,7 +190,7 @@ class DirichletDomain:
                     % (better.sum(), MAX_ROUNDS))
             rounds += 1
             idx = active[better]
-            w[idx] = wn = move(idx, self.neighbors[(j[better] + 4) & 7])
+            w[idx] = wn = move(idx, self.neighbors.take((j[better] + 4) & 7, axis=0))
             r2[idx] = rn = wn.real * wn.real + wn.imag * wn.imag
             active = idx[rn > _IN_R2]
         return rounds
@@ -246,7 +246,7 @@ class DirichletDomain:
 
         def move(sel, m):
             # the 2x2 products written out: the same bits as einsum, faster
-            h = g[sel]
+            h = g.take(sel, axis=0)
             moved = np.empty_like(h)
             for i in range(2):
                 for j in range(2):

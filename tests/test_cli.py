@@ -190,6 +190,23 @@ class TestExitCodes:
             "--quiet", "--out", str(out)]) == "ConfigError"
         assert not out.exists()
 
+    @pytest.mark.parametrize("text, setting", [
+        ("model = conformal_perturbation\nverify_time = 0\n", "verify_time"),
+        ("verify_time = 0\n", "verify_time"),
+        ("verify_samples = -1\n", "verify_samples"),
+        ("verify_samples = 2\nverify_time = 1\nks_samples = 0\n", "ks_samples"),
+    ], ids=["zero-time-perturbed", "zero-time-exact", "negative-samples",
+            "zero-ks-samples"])
+    def test_verify_bad_sizes(self, tmp_path, capsys, text, setting):
+        # a zero-length check is refused, not reported as passed or as NaN
+        out = tmp_path / "verify.json"
+        assert main(["verify-anosov", "--config", _cfg(tmp_path, text),
+                     "--quiet", "--out", str(out)]) == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "ConfigError"
+        assert setting in payload["message"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("raw", [["--raw-mean"], []])
     def test_shape_observable_on_exact_model(self, tmp_path, capsys, raw):
         cfg = _cfg(tmp_path, "dt = 0.25\nn_lags = 10\nn_samples = 100\n")
@@ -562,7 +579,7 @@ n_samples = 500
             "resonances.json.meta.json":
                 "975e43bec42424a7754abf75a5c67e569371d2d942f17d8c31b64f6c97cbe8ab",
             "verify.json":
-                "a5c04ba61c35c9b1a6634145a89ebf198d55c9095084b6213610396d2fb3edf2",
+                "15817d29bd447bea6652600b80fb44912102d26dcf48f042a17cfab8055bde4e",
             "verify.json.meta.json":
                 "2504272f7304f60a18ce0818ad747f63bc0de6ed57d9db3b6902d47427335100",
             "weyl.csv":

@@ -12,11 +12,11 @@ from anosovlab.errors import (
     StepSizeError,
 )
 from anosovlab.flow import (
+    ENERGY_DRIFT,
     AnosovReport,
     ExactEnsemble,
     MidpointEnsemble,
     _ks_uniform,
-    contact_check,
     dual_seeds,
     evaluate_observable,
     liouville_ks,
@@ -369,12 +369,6 @@ def test_make_ensemble_dispatch(exact_model, perturbed_model):
     assert isinstance(make_ensemble(perturbed_model, z, th), MidpointEnsemble)
 
 
-def test_contact_check_exact(exact_model):
-    alpha_err, nondeg = contact_check(exact_model)
-    assert alpha_err < 1e-8
-    assert nondeg == pytest.approx(1.0, abs=1e-8)
-
-
 def test_verify_anosov_exact():
     model = build_model(model="constant_curvature", step=0.02)
     report = verify_anosov(model, n_samples=10, t_check=10.0)
@@ -392,6 +386,9 @@ def test_verify_anosov_exact_is_closed_form(exact_model):
     for name in ("lambda_forward", "lambda_backward", "lambda_min",
                  "riccati_low", "riccati_high"):
         assert getattr(report, name) == 1.0, name
+    # the exact flow keeps H = 1/2
+    assert report.energy_error == 0.0
+    assert report.energy_bound == ENERGY_DRIFT * exact_model.step ** 2
     z, _ = dual_seeds(exact_model, 7, np.random.default_rng(4), word_length=4)
     assert report.n_samples == len(z)
     assert report.passed
@@ -407,12 +404,49 @@ def test_verify_anosov_perturbed(perturbed_model):
     assert lo < hi  # genuinely pinched
 
 
+def test_energy_certificate_fails_a_broken_integrator(monkeypatch):
+    # One fixed-point pass turns the implicit midpoint rule into explicit
+    # Euler, whose energy drifts by O(step) per unit time instead of staying
+    # within O(step^2); the same run with four passes stays inside the bound.
+    model = build_model(model="conformal_perturbation", epsilon=0.05,
+                        step=0.05, riccati_burn=5.0)
+    kwargs = dict(n_samples=10, t_check=5.0, seed=1, word_length=4)
+    report = verify_anosov(model, **kwargs)
+    assert report.passed
+    assert report.energy_error < report.energy_bound
+    monkeypatch.setattr(MidpointEnsemble, "n_iter", 1)
+    broken = verify_anosov(model, **kwargs)
+    assert broken.energy_error > broken.energy_bound
+    assert not broken.passed
+
+
+@pytest.mark.parametrize("kwargs, setting", [
+    (dict(t_check=0.0), "verify_time"),
+    (dict(t_check=-1.0), "verify_time"),
+    (dict(t_check=float("nan")), "verify_time"),
+    (dict(n_samples=-1), "verify_samples"),
+])
+def test_verify_anosov_rejects_bad_inputs(exact_model, perturbed_model,
+                                          monkeypatch, kwargs, setting):
+    # refused by name before any seed is drawn, on either model kind
+    def no_seeds(*args, **kw):
+        raise AssertionError("seeds drawn for a refused input")
+
+    monkeypatch.setattr("anosovlab.flow.sample_liouville", no_seeds)
+    for model in (exact_model, perturbed_model):
+        with pytest.raises(ConfigError, match=setting):
+            verify_anosov(model, **dict(dict(n_samples=2, t_check=1.0), **kwargs))
+
+
 def test_liouville_ks(exact_model, perturbed_model):
     out = liouville_ks(exact_model, n=4000, t=5.0)
     assert set(out) == {"radial", "fibre_angle", "position_angle"}
     assert max(out.values()) < 0.04
     with pytest.raises(ConfigError):
         liouville_ks(perturbed_model)
+    for n in (0, -3):
+        with pytest.raises(ConfigError, match="ks_samples"):
+            liouville_ks(exact_model, n=n)
 
 
 def test_ks_statistic_matches_scipy():
@@ -438,14 +472,14 @@ def test_verify_anosov_matches_per_direction_runs(perturbed_model):
     report = verify_anosov(model, n_samples=n, t_check=t_check, seed=seed,
                            word_length=4)
     z, th = dual_seeds(model, n, np.random.default_rng(seed), word_length=4)
-    rates, extremes = [], []
+    rates, extremes, energy_errors = [], [], []
     for direction in (0.0, np.pi):
         ens = MidpointEnsemble(model, z, theta_h=np.mod(th + direction, 2.0 * np.pi))
         ens.burn_in()
         total = ens.advance(t_check, observables=[ObservableSpec(c_u_half=2.0)])[0]
         rates.append(float(np.min(total) / t_check))
         extremes.append((float(ens.u.min()), float(ens.u.max())))
-    alpha_err, nondeg = contact_check(model)
+        energy_errors.append(float(np.max(np.abs(_energy(ens) - 0.5))))
     k_min, k_max = model.curvature_range
     expected = AnosovReport(
         lambda_forward=rates[0],
@@ -454,8 +488,8 @@ def test_verify_anosov_matches_per_direction_runs(perturbed_model):
         riccati_low=min(e[0] for e in extremes),
         riccati_high=max(e[1] for e in extremes),
         riccati_bounds=(float(np.sqrt(-k_max)), float(np.sqrt(-k_min))),
-        contact_alpha_error=alpha_err,
-        contact_nondegeneracy=nondeg,
+        energy_error=max(energy_errors),
+        energy_bound=ENERGY_DRIFT * model.step ** 2,
         n_samples=len(z),
         t_check=t_check,
     )
