@@ -265,7 +265,7 @@ def _run_orbit_dump(args, cfg):
     damp = damping_observable(model, _potential(cfg))
     span = _option(args, "t", cfg, "horizon", 50.0)
     dt = cfg.get("dt", 0.1)
-    n = _step_count(model, span, dt)
+    n = _step_count(model, span, dt, "t" if args.t is not None else "horizon")
     rng = np.random.default_rng(args.seed)
     z, th = sample_liouville(model, 1, rng)
     ens = make_ensemble(model, z, th).burn_in()

@@ -66,14 +66,15 @@ def sample_liouville(model: FlowModel, n: int, rng) -> Tuple[np.ndarray, np.ndar
     return z, theta
 
 
-def _step_count(model: FlowModel, T: float, h: float) -> int:
-    """Number of steps h making up T, or the error a run over T would raise."""
+def _step_count(model: FlowModel, T: float, h: float, name: str = "T") -> int:
+    """Steps h making up T (the setting `name`), or the error a run would raise."""
     if abs(T) > model.horizon:
         raise HorizonError("|T| = %g exceeds the configured horizon %g"
                            % (abs(T), model.horizon))
     n_steps = int(round(T / h))
     if n_steps < 0 or abs(n_steps * h - T) > 1e-9 * max(1.0, abs(T)):
-        raise ConfigError("T must be a nonnegative multiple of the step")
+        raise ConfigError("%s = %g is not a nonnegative multiple of the step %g"
+                          % (name, T, h))
     return n_steps
 
 
@@ -368,7 +369,7 @@ def verify_anosov(model: FlowModel, n_samples: int = 200, t_check: float = 60.0,
         raise ConfigError("verify_time must be positive, got %r" % (t_check,))
     if n_samples < 0:
         raise ConfigError("verify_samples must be nonnegative, got %r" % (n_samples,))
-    _step_count(model, t_check, model.step)
+    _step_count(model, t_check, model.step, "verify_time")
     rng = np.random.default_rng(seed)
     z, th = dual_seeds(model, n_samples, rng, word_length=word_length)
     k_min, k_max = model.curvature_range

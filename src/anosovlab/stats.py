@@ -107,33 +107,31 @@ def weyl_count(resonances: ResonanceList, k: int, b: float,
     """Count band-k resonances in (b, b + b^eps] and fit the height ladder.
 
     Windows are half-open so that with eps_exponent = 0 consecutive windows
-    tile (b, 2b] exactly.  The ladder is geometric between b and b_max
-    (default: the largest height present); the fit of log count against
+    tile (b, 2b] exactly.  The ladder is geometric from b to its top: b_max
+    (default: the largest height present, im_top) if its window ends at or
+    below im_top, else the largest float x in [b, b_max] with
+    x + x^eps <= im_top, bisected down to adjacent floats, so that every
+    rung's window is covered by the data.  The fit of log count against
     log b needs at least five nonempty rungs, otherwise it is omitted.
     """
-    if b <= 0:
-        raise ConfigError("b must be positive")
+    if not 0.0 < b < np.inf:
+        raise ConfigError("b must be a positive finite number, got %r" % (b,))
+    if b_max is not None and not np.isfinite(b_max):
+        raise ConfigError("b_max must be finite, got %r" % (b_max,))
+    if not 0.0 <= eps_exponent < np.inf:
+        # the window end x + x^eps increases in x only for eps >= 0
+        raise ConfigError("eps_exponent must be a nonnegative finite number, "
+                          "got %r" % (eps_exponent,))
     if k < 0:
         raise ConfigError("band index must be nonnegative, got %d" % k)
     im = resonances.im[resonances.band == k]
     count = _window_count(im, b, eps_exponent)
     im_top = float(im.max()) if len(im) else b
-    if b_max is None:
-        b_max = im_top
-    # only windows fully covered by the data are meaningful rungs
-    if b_max + b_max ** eps_exponent > im_top:
-        if b + b ** eps_exponent >= im_top:
-            b_max = b
-        else:
-            from scipy.optimize import brentq
-
-            b_max = float(brentq(
-                lambda x: x + x ** eps_exponent - im_top, b, max(im_top, b)
-            ))
-    if b_max <= b:
-        ladder = np.array([b])
-    else:
-        ladder = np.geomspace(b, b_max, WEYL_LADDER)
+    hi = max(b, im_top if b_max is None else b_max)
+    lo = hi if hi + hi ** eps_exponent <= im_top else b
+    while lo < (mid := lo + 0.5 * (hi - lo)) < hi:
+        lo, hi = (mid, hi) if mid + mid ** eps_exponent <= im_top else (lo, mid)
+    ladder = np.geomspace(b, lo, WEYL_LADDER) if lo > b else np.array([b])
     window_counts = np.array(
         [_window_count(im, bb, eps_exponent) for bb in ladder]
     )

@@ -92,7 +92,6 @@ def write_metadata(artifact_path, seed: int, config_path=None,
         "versions": {
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "scipy": __import__("scipy").__version__,
             "anosovlab": __version__,
         },
     }

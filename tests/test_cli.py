@@ -30,22 +30,38 @@ max_closed = 40
 """
 
 
-def test_package_imports_load_no_scipy():
-    # scipy stays off every import path; the few calls that need it import
-    # it themselves (weyl's default ladder top, the sidecar's version).
+def test_package_imports_load_no_scipy(tmp_path):
+    # the runtime is numpy only: with scipy blocked, every module imports and
+    # a whole reproduce-fig2 run writes its six artifacts and six sidecars
     import anosovlab
 
-    code = ("import pkgutil, sys, anosovlab\n"
+    cfg = _cfg(tmp_path, FAST_EDGES + """
+mu_max = 60
+weyl_b = 5
+concentration_b_max = 7
+verify_samples = 4
+verify_time = 4
+ks_samples = 500
+n_samples = 500
+""")
+    out = tmp_path / "fig2"
+    code = ("import pkgutil, sys\n"
+            "sys.modules['scipy'] = None\n"
+            "import anosovlab, anosovlab.cli\n"
             "for m in pkgutil.iter_modules(anosovlab.__path__):\n"
             "    __import__('anosovlab.' + m.name)\n"
-            "import anosovlab.cli\n"
-            "anosovlab.cli.build_parser()\n"
-            "print(' '.join(k for k in sys.modules if k.startswith('scipy')))")
+            "sys.exit(anosovlab.cli.main(sys.argv[1:]))")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(
         os.path.dirname(anosovlab.__file__)))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == ""
+    run = subprocess.run([sys.executable, "-c", code, "reproduce-fig2",
+                          "--config", cfg, "--quiet", "--out", str(out)],
+                         env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert sorted(os.listdir(out)) == sorted(
+        name + meta for name in ("verify.json", "band_edges.csv",
+                                 "resonances.json", "bands.csv", "weyl.csv",
+                                 "concentration.csv")
+        for meta in ("", ".meta.json"))
 
 
 def test_no_unused_imports_in_src():
@@ -142,9 +158,13 @@ class TestExitCodes:
 
     def test_orbit_dump_span_must_be_a_multiple_of_dt(self, tmp_path, capsys):
         cfg = _cfg(tmp_path, "dt = 0.3\n")
-        assert self._error(capsys, [
-            "orbit-dump", "--config", cfg, "--t", "1", "--quiet",
-            "--out", str(tmp_path / "o.csv")]) == "ConfigError"
+        assert main(["orbit-dump", "--config", cfg, "--t", "1", "--quiet",
+                     "--out", str(tmp_path / "o.csv")]) == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "ConfigError"
+        # the refusal names the setting and the step
+        assert payload["message"] == (
+            "t = 1 is not a nonnegative multiple of the step 0.3")
 
     def test_negative_band_index(self, tmp_path, capsys):
         cfg = _cfg(tmp_path, FAST_EDGES)
@@ -195,10 +215,13 @@ class TestExitCodes:
         ("verify_time = 0\n", "verify_time"),
         ("verify_samples = -1\n", "verify_samples"),
         ("verify_samples = 2\nverify_time = 1\nks_samples = 0\n", "ks_samples"),
+        ("verify_time = 0.0033\nstep = 0.01\n",
+         "verify_time = 0.0033 is not a nonnegative multiple of the step 0.01"),
     ], ids=["zero-time-perturbed", "zero-time-exact", "negative-samples",
-            "zero-ks-samples"])
+            "zero-ks-samples", "time-not-a-multiple"])
     def test_verify_bad_sizes(self, tmp_path, capsys, text, setting):
-        # a zero-length check is refused, not reported as passed or as NaN
+        # a zero-length check is refused, not reported as passed or as NaN;
+        # so is one that is not a whole number of steps
         out = tmp_path / "verify.json"
         assert main(["verify-anosov", "--config", _cfg(tmp_path, text),
                      "--quiet", "--out", str(out)]) == 1

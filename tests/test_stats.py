@@ -170,11 +170,47 @@ class TestWeylCount:
         spectrum = synthetic_weyl_spectrum(area=4.0 * np.pi, mu_max=400.0)
         catalog = resonances_from_laplacian(spectrum, k_max=0)
         im_top = catalog.im.max()
-        report = weyl_count(catalog, k=0, b=5.0, eps_exponent=0.0,
-                            b_max=1000.0)
-        top = report.ladder[-1]
-        assert top + 1.0 <= im_top + 1e-6
-        assert np.all(report.window_counts > 0)
+        for eps in (0.0, 0.5):
+            report = weyl_count(catalog, k=0, b=5.0, eps_exponent=eps,
+                                b_max=1000.0)
+            top = report.ladder[-1]
+            # the top's window is covered, the next float's is not
+            assert top + top ** eps <= im_top
+            above = np.nextafter(top, np.inf)
+            assert above + above ** eps > im_top
+            assert np.all(report.window_counts > 0)
+        report = weyl_count(catalog, k=0, b=5.0, eps_exponent=0.0)
+        assert report.ladder[-1] == im_top - 1.0
+        # a b_max whose window is covered is kept as the top
+        report = weyl_count(catalog, k=0, b=5.0, eps_exponent=0.5, b_max=10.0)
+        assert report.ladder[-1] == 10.0
+
+    @pytest.mark.parametrize("eps", [0.0, 0.25, 0.5, 1.0, 1.5])
+    def test_ladder_top_matches_brentq(self, eps):
+        # Reference: the scipy.optimize.brentq root weyl_count used to take,
+        # on the same bracket, within brentq's default xtol + rtol |x|
+        from scipy.optimize import brentq
+
+        rng = np.random.default_rng(7)
+        for b in (0.5, 2.0, 5.0):
+            im = b + rng.uniform(2.0, 500.0, size=40)
+            entries = _inverted([(-0.5, x) for x in im], 0)
+            top = weyl_count(entries, k=0, b=b, eps_exponent=eps).ladder[-1]
+            root, info = brentq(lambda x: x + x ** eps - im.max(), b, im.max(),
+                                full_output=True)
+            assert info.converged
+            assert abs(top - root) <= 2e-12 + 4 * np.finfo(float).eps * abs(root)
+
+    @pytest.mark.parametrize("setting, value", [
+        ("b", -1.0), ("b", np.nan), ("b", np.inf),
+        ("b_max", np.nan), ("b_max", np.inf), ("b_max", -np.inf),
+        ("eps_exponent", -0.5), ("eps_exponent", np.nan),
+        ("eps_exponent", np.inf),
+    ])
+    def test_rejects_bad_ladder_inputs(self, setting, value):
+        entries = _inverted([(-0.5, im) for im in (6.0, 7.0, 8.0)], 0)
+        with pytest.raises(ConfigError, match="^%s must" % setting):
+            weyl_count(entries, k=0, **{"b": 5.0, setting: value})
 
     def test_fit_omitted_for_sparse_data(self):
         entries = _inverted([(-0.5, im) for im in (1.0, 1.5, 40.0)], 0)

@@ -74,8 +74,7 @@ class TestMetadata:
         assert meta["seed"] == 42
         assert meta["area"] == 12.56
         assert len(meta["config_sha256"]) == 64
-        assert set(meta["versions"]) == {"python", "numpy", "scipy",
-                                         "anosovlab"}
+        assert set(meta["versions"]) == {"python", "numpy", "anosovlab"}
 
     def test_sidecar_without_config(self, tmp_path):
         artifact = tmp_path / "out.csv"
