@@ -305,10 +305,8 @@ def _run_figure2(args, cfg):
     rl = _run_resonances(sub("resonances.json"), cfg)
     _run_bands(sub("bands.csv"), cfg, rl, edges)
     _run_weyl(sub("weyl.csv", k=0), cfg, rl)
-    d_mean, _ = space_average(
-        model, damping_observable(model, _potential(cfg)),
-        cfg.get("n_samples", 20000), seed=args.seed,
-    )
+    d_mean, _ = space_average(model, damping_observable(model, _potential(cfg)),
+                              seed=args.seed)
     _run_concentrate(sub("concentration.csv", dmean=d_mean), cfg, rl)
 
 

@@ -24,8 +24,9 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from .birkhoff import space_average
 from .errors import ConfigError, HorizonError
-from .flow import _shape, evaluate_observable, make_ensemble, sample_liouville
+from .flow import evaluate_observable, make_ensemble, sample_liouville
 from .model import FlowModel, ObservableSpec
 
 
@@ -59,58 +60,10 @@ class CorrelationSeries:
         return self.dt * np.arange(len(self.values))
 
 
-# Volume averages: Gauss-Legendre nodes per sector axis for the position
-# terms, and Monte Carlo points and seed for the expansion-rate term.
-MEAN_QUAD_NODES = 96
-MEAN_MC_SAMPLES = 200000
-MEAN_MC_SEED = 17
-
-
-def observable_mean(model: FlowModel, spec: ObservableSpec) -> Tuple[float, float]:
-    """Volume average of an observable; returns (mean, stderr).
-
-    Position-dependent terms are integrated by quadrature over the polygon
-    (fibre angle integrates out: the harmonics vanish, the rest is constant
-    on fibres), which leaves Monte Carlo only for the expansion-rate term on
-    perturbed models.
-    """
-    from .birkhoff import space_average
-    from .surface import octagon_area
-
-    mean = spec.c_const
-    err = 0.0
-    area = model.area
-    if spec.c_shape != 0.0:
-        num = octagon_area(
-            lambda z: model.conformal_weight(z) * _shape(model).value(z),
-            n_ang=MEAN_QUAD_NODES, n_rad=MEAN_QUAD_NODES,
-        )
-        mean += spec.c_shape * num / area
-    if spec.c_bump != 0.0:
-        bump_only = ObservableSpec(c_bump=spec.c_bump,
-                                   bump_center=spec.bump_center,
-                                   bump_sigma=spec.bump_sigma)
-        num = octagon_area(
-            lambda z: model.conformal_weight(z)
-            * evaluate_observable(model, bump_only, z),
-            n_ang=MEAN_QUAD_NODES, n_rad=MEAN_QUAD_NODES,
-        )
-        mean += num / area
-    if spec.c_u_half != 0.0:
-        if model.is_exact:
-            mean += 0.5 * spec.c_u_half
-        else:
-            u_mean, u_err = space_average(
-                model, ObservableSpec(c_u_half=1.0), MEAN_MC_SAMPLES,
-                seed=MEAN_MC_SEED)
-            mean += spec.c_u_half * u_mean
-            err = abs(spec.c_u_half) * u_err
-    return float(mean), float(err)
-
-
 def mean_zero(model: FlowModel, spec: ObservableSpec) -> ObservableSpec:
-    """Shift c_const so the volume average vanishes."""
-    m, _ = observable_mean(model, spec)
+    """Shift c_const by the volume average ``birkhoff.space_average`` (at its
+    default seed), so the average vanishes up to that estimate's error."""
+    m, _ = space_average(model, spec)
     return dataclasses.replace(spec, c_const=spec.c_const - m)
 
 

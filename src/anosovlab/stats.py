@@ -55,8 +55,11 @@ def band_membership(resonances: ResonanceList, edges: Sequence[BandEdges],
     flagged ambiguous, hits in none are violations, and low-frequency
     entries (the "finitely many exceptions" regime) are set aside.
     """
-    if eps < 0.0:
-        raise ConfigError("band enlargement eps must be nonnegative")
+    if not 0.0 <= eps < np.inf:
+        raise ConfigError("band enlargement eps must be a nonnegative finite "
+                          "number, got %r" % (eps,))
+    if not np.isfinite(im_cutoff):
+        raise ConfigError("im_cutoff must be finite, got %r" % (im_cutoff,))
     edges = sorted(edges, key=lambda e: e.k)
     if [e.k for e in edges] != list(range(len(edges))):
         raise ConfigError("edges must cover k = 0..k_max without gaps")
@@ -96,8 +99,14 @@ class WeylReport:
     fit_omitted: bool
 
 
+def _window_end(x: float, eps_exponent: float) -> float:
+    """x + x^eps in float64, +inf where x^eps overflows."""
+    with np.errstate(over="ignore"):
+        return x + np.float64(x) ** eps_exponent
+
+
 def _window_count(im: np.ndarray, b: float, eps_exponent: float) -> int:
-    lo, hi = b, b + b ** eps_exponent
+    lo, hi = b, _window_end(b, eps_exponent)
     return int(np.count_nonzero((im > lo) & (im <= hi)))
 
 
@@ -111,7 +120,8 @@ def weyl_count(resonances: ResonanceList, k: int, b: float,
     (default: the largest height present, im_top) if its window ends at or
     below im_top, else the largest float x in [b, b_max] with
     x + x^eps <= im_top, bisected down to adjacent floats, so that every
-    rung's window is covered by the data.  The fit of log count against
+    rung's window is covered by the data; a window end beyond the float
+    range counts as uncovered.  The fit of log count against
     log b needs at least five nonempty rungs, otherwise it is omitted.
     """
     if not 0.0 < b < np.inf:
@@ -128,9 +138,9 @@ def weyl_count(resonances: ResonanceList, k: int, b: float,
     count = _window_count(im, b, eps_exponent)
     im_top = float(im.max()) if len(im) else b
     hi = max(b, im_top if b_max is None else b_max)
-    lo = hi if hi + hi ** eps_exponent <= im_top else b
+    lo = hi if _window_end(hi, eps_exponent) <= im_top else b
     while lo < (mid := lo + 0.5 * (hi - lo)) < hi:
-        lo, hi = (mid, hi) if mid + mid ** eps_exponent <= im_top else (lo, mid)
+        lo, hi = (mid, hi) if _window_end(mid, eps_exponent) <= im_top else (lo, mid)
     ladder = np.geomspace(b, lo, WEYL_LADDER) if lo > b else np.array([b])
     window_counts = np.array(
         [_window_count(im, bb, eps_exponent) for bb in ladder]
@@ -168,8 +178,11 @@ class ConcentrationReport:
 def concentration(resonances: ResonanceList, d_mean: float,
                   b_max: float) -> ConcentrationReport:
     """Mean |Re z - <D>| over band-0 entries with |Im z| < b, b in a ladder."""
-    if b_max <= 0:
-        raise ConfigError("b_max must be positive")
+    if not np.isfinite(d_mean):
+        raise ConfigError("d_mean must be finite, got %r" % (d_mean,))
+    if not 0.0 < b_max < np.inf:
+        raise ConfigError("b_max must be a positive finite number, got %r"
+                          % (b_max,))
     band0 = resonances.band == 0
     dist = np.abs(resonances.re[band0] - d_mean)
     im = np.abs(resonances.im[band0])

@@ -3,6 +3,8 @@ import numpy as np
 import pytest
 
 from anosovlab.birkhoff import (
+    MEAN_ORBITS,
+    MEAN_TIME,
     BandEdges,
     SamplingPlan,
     _fit_limit,
@@ -10,7 +12,8 @@ from anosovlab.birkhoff import (
     space_average,
     window_averages,
 )
-from anosovlab.errors import AnosovLabError, ConfigError
+from anosovlab.errors import AnosovLabError, ConfigError, HorizonError
+from anosovlab.flow import make_ensemble, sample_liouville
 from anosovlab.fuchsian import to_halfplane
 from anosovlab.model import ObservableSpec, PotentialSpec, build_model
 from anosovlab.surface import octagon_area
@@ -144,26 +147,58 @@ def test_perturbed_edges_straddle_the_mean(perturbed_model):
 
 
 def test_space_average_constant(exact_model):
-    mean, err = space_average(exact_model, ObservableSpec(c_const=3.0), 100)
+    mean, err = space_average(exact_model, ObservableSpec(c_const=3.0))
     assert mean == 3.0
     assert err == 0.0
 
 
 def test_space_average_bump_matches_quadrature(exact_model):
     spec = ObservableSpec(c_bump=1.0)
-    mean, err = space_average(exact_model, spec, 20000, seed=5)
+    mean, err = space_average(exact_model, spec, seed=5)
     center = to_halfplane(spec.bump_center)
 
     def w(z):
         d = exact_model.domain.quotient_dist(z, center)
         return np.exp(-0.5 * (d / spec.bump_sigma) ** 2)
 
-    want = octagon_area(weight=w) / (4.0 * np.pi)
-    assert abs(mean - want) < 4.0 * err
+    want = octagon_area(weight=w, n_ang=96, n_rad=96) / (4.0 * np.pi)
+    assert mean == pytest.approx(want, rel=1e-12)
+    assert err == 0.0
 
 
 def test_space_average_expansion_rate(perturbed_model):
     mean, err = space_average(perturbed_model, ObservableSpec(c_u_half=2.0),
-                              400, seed=6)
+                              seed=6)
     assert err < 0.02
     assert mean == pytest.approx(1.0, abs=0.08)
+
+
+def test_space_average_expansion_rate_gauss_bonnet(perturbed_model):
+    # The volume is invariant and du/dt = -K - u^2, so <u^2> = -<K>, which
+    # is 4 pi / area by Gauss-Bonnet in genus 2.  A step loop over the
+    # estimator's own seed and orbits gives its <u> and the u^2 averages.
+    model, seed = perturbed_model, 17
+    z, th = sample_liouville(model, MEAN_ORBITS, np.random.default_rng(seed))
+    ens = make_ensemble(model, z, th).burn_in()
+    n_steps = round(MEAN_TIME / model.step)
+    s1 = s2 = 0.0
+    for _ in range(n_steps):
+        _, _, u = ens.step()
+        s1, s2 = s1 + u, s2 + u * u
+    T = n_steps * model.step
+    avg_u, avg_u2 = s1 * model.step / T, s2 * model.step / T
+    mean, err = space_average(model, ObservableSpec(c_u_half=2.0), seed=seed)
+    assert mean == pytest.approx(avg_u.mean(), abs=1e-12)
+    assert err == pytest.approx(avg_u.std(ddof=1) / np.sqrt(MEAN_ORBITS),
+                                rel=1e-9)
+    stderr_u2 = avg_u2.std(ddof=1) / np.sqrt(MEAN_ORBITS)
+    assert abs(avg_u2.mean() - 4.0 * np.pi / model.area) <= 4.0 * stderr_u2
+
+
+def test_space_average_refuses_a_short_horizon():
+    # the u mean needs MEAN_TIME after the burn-in; a shorter horizon is
+    # refused, not truncated
+    model = build_model(model="conformal_perturbation", epsilon=0.05,
+                        step=0.01, riccati_burn=2.0, horizon=0.5 * MEAN_TIME)
+    with pytest.raises(HorizonError, match="horizon"):
+        space_average(model, ObservableSpec(c_u_half=1.0))

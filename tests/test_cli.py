@@ -200,6 +200,41 @@ class TestExitCodes:
             "--edges", str(edges), "--quiet", "--out", str(out)]) == "ConfigError"
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, text, setting", [
+        (["concentrate", "--dmean", "nan"], "", "d_mean"),
+        (["concentrate", "--dmean=-inf"], "", "d_mean"),
+        (["concentrate", "--dmean", "-0.5"], "concentration_b_max = nan\n",
+         "b_max"),
+        (["concentrate", "--dmean", "-0.5", "--bmax", "inf"], "", "b_max"),
+        (["bands"], "band_eps = nan\n", "eps"),
+        (["bands", "--eps", "inf"], "", "eps"),
+        (["bands"], "im_cutoff = nan\n", "im_cutoff"),
+        (["bands", "--im-cutoff", "inf"], "", "im_cutoff"),
+    ], ids=["dmean-nan", "dmean-inf", "bmax-nan", "bmax-inf", "eps-nan",
+            "eps-inf", "im-cutoff-nan", "im-cutoff-inf"])
+    def test_statistics_refuse_non_finite_inputs(self, tmp_path, capsys,
+                                                 argv, text, setting):
+        # a NaN or infinite statistics input is refused, not turned into a
+        # NaN ladder, a non-JSON "final": NaN or a silent run of violations
+        from anosovlab.birkhoff import BandEdges
+        from anosovlab.tableio import write_band_edges
+
+        res = tmp_path / "r.json"
+        assert main(["resonances", "--out", str(res), "--quiet"]) == 0
+        if argv[0] == "bands":
+            edges = tmp_path / "edges.csv"
+            write_band_edges(edges, [BandEdges(
+                k=0, gamma_minus=-0.6, gamma_plus=-0.4, horizon=10.0,
+                n_orbits=1, extrapolation_error=0.0)])
+            argv = argv + ["--edges", str(edges)]
+        out = tmp_path / "stat.csv"
+        assert main(argv + ["--config", _cfg(tmp_path, text), "--resonances",
+                            str(res), "--quiet", "--out", str(out)]) == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "ConfigError"
+        assert " %s must" % setting in " " + payload["message"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("n_samples", [0, -5])
     def test_correlate_needs_samples(self, tmp_path, capsys, n_samples):
         cfg = _cfg(tmp_path, "dt = 0.25\nn_lags = 4\nn_samples = %d\n"

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from anosovlab import correlation
+from anosovlab.birkhoff import space_average
 from anosovlab.correlation import (
     CorrelationSeries,
     _lag_means,
     correlation_series,
     mean_zero,
-    observable_mean,
     orbit_plan,
 )
 from anosovlab.errors import ConfigError, HorizonError
@@ -43,19 +43,19 @@ class TestCorrelationSeries:
 class TestObservableMean:
     def test_constant_and_expansion_exact(self, exact_model):
         spec = ObservableSpec(c_const=2.0, c_u_half=3.0)
-        mean, err = observable_mean(exact_model, spec)
+        mean, err = space_average(exact_model, spec)
         # u = 1 on the exact model, so the u/2 term contributes c_u_half/2.
         assert mean == 2.0 + 1.5
         assert err == 0.0
 
     def test_harmonics_average_out(self, exact_model):
         spec = ObservableSpec(c_const=1.0, c_cos=5.0, c_sin=-3.0)
-        mean, _ = observable_mean(exact_model, spec)
+        mean, _ = space_average(exact_model, spec)
         assert mean == 1.0
 
     def test_bump_matches_quadrature(self, exact_model):
         spec = ObservableSpec(c_bump=1.0)
-        mean, _ = observable_mean(exact_model, spec)
+        mean, _ = space_average(exact_model, spec)
         direct = octagon_area(
             lambda z: evaluate_observable(exact_model, spec, z),
             n_ang=96, n_rad=96,
@@ -65,7 +65,7 @@ class TestObservableMean:
     def test_mean_zero_shift(self, exact_model):
         spec = ObservableSpec(c_const=0.3, c_bump=1.0, c_cos=0.5)
         shifted = mean_zero(exact_model, spec)
-        mean, _ = observable_mean(exact_model, shifted)
+        mean, _ = space_average(exact_model, shifted)
         assert abs(mean) < 1e-12
         # only the constant coefficient moves
         assert shifted.c_bump == spec.c_bump

@@ -212,6 +212,26 @@ class TestWeylCount:
         with pytest.raises(ConfigError, match="^%s must" % setting):
             weyl_count(entries, k=0, **{"b": 5.0, setting: value})
 
+    @pytest.mark.parametrize("b, b_max", [
+        (1e200, None), (1e300, 1e300), (2.0, 1e300), (2.0, 1e200),
+    ])
+    def test_window_end_overflow_counts_as_uncovered(self, b, b_max):
+        # with eps = 2, b^eps overflows the float range: that window end is
+        # +inf, so it is never covered and the ladder stops where the data
+        # stop, as for a finite b_max past im_top
+        entries = _inverted([(-0.5, im) for im in np.linspace(2.5, 60.0, 80)], 0)
+        report = weyl_count(entries, k=0, b=b, eps_exponent=2.0, b_max=b_max)
+        if b > 60.0:
+            assert report.count == 0
+            assert np.array_equal(report.ladder, [b])
+        else:
+            want = weyl_count(entries, k=0, b=b, eps_exponent=2.0, b_max=1e100)
+            assert np.array_equal(report.ladder, want.ladder)
+            assert np.array_equal(report.window_counts, want.window_counts)
+            top = report.ladder[-1]
+            assert top + top ** 2 <= 60.0 < np.nextafter(top, np.inf) + \
+                np.nextafter(top, np.inf) ** 2
+
     def test_fit_omitted_for_sparse_data(self):
         entries = _inverted([(-0.5, im) for im in (1.0, 1.5, 40.0)], 0)
         report = weyl_count(entries, k=0, b=1.0)
