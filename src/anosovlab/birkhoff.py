@@ -185,7 +185,7 @@ def _edges_from_averages(avgs: WindowAverages, k: int,
     )
 
 
-def band_edges_upto(model: FlowModel, potential: PotentialSpec, k_max: int,
+def band_edges_upto(model: FlowModel, potential: PotentialSpec, k_max: int = 0,
                     plan: Optional[SamplingPlan] = None) -> list:
     """Edges for k = 0..k_max from a single ensemble pass.
 

@@ -106,7 +106,7 @@ class LaplaceSpectrum:
             raise ConfigError("the zero eigenvalue mu_0 = 0 must be present")
 
 
-def resonances_from_laplacian(spec: LaplaceSpectrum, k_max: int,
+def resonances_from_laplacian(spec: LaplaceSpectrum, k_max: int = 3,
                               n_max: int = 0) -> ResonanceList:
     """All z = -1/2 - k +- i sqrt(mu - 1/4) for k <= k_max, plus z = -n.
 
@@ -135,8 +135,8 @@ def resonances_from_laplacian(spec: LaplaceSpectrum, k_max: int,
     )
 
 
-def synthetic_weyl_spectrum(area: float, mu_max: float, jitter: float = 0.0,
-                            seed: int = 0) -> LaplaceSpectrum:
+def synthetic_weyl_spectrum(area: float = 4.0 * np.pi, mu_max: float = 400.0,
+                            jitter: float = 0.0, seed: int = 0) -> LaplaceSpectrum:
     """Eigenvalue staircase with counting slope area/(4 pi) and jitter.
 
     The deterministic staircase places mu_j = j * 4 pi / area; the jitter

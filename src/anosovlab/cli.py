@@ -1,12 +1,13 @@
 """Command-line entry point wiring configs, pipelines, and artifacts.
 
 One binary with a subcommand per pipeline.  Each handler takes the parsed
-argparse namespace and the config mapping; an option resolves from the
-command line, else the config key, else its default.  Every run writes its
-outputs plus a metadata sidecar (config hash, seed, versions, the handler's
-extras) through one helper, ``_save``; runtime failures exit 1 with a
-machine-readable error JSON on stderr, while usage errors exit 2 through
-argparse.  Fixed (config, seed) pairs give byte-identical artifacts.
+argparse namespace and the config mapping, and passes each library call only
+the settings given (``_given``): the flag, else the config key, else the
+called function's own default.  Every run writes its outputs plus a metadata
+sidecar (config hash, seed, versions, the handler's extras) through one
+helper, ``_save``; runtime failures exit 1 with a machine-readable error JSON
+on stderr, while usage errors exit 2 through argparse.  Fixed (config, seed)
+pairs give byte-identical artifacts.
 """
 from __future__ import annotations
 
@@ -17,12 +18,18 @@ import os
 import sys
 
 
-def _limit_threads(n: int):
+def _limit_threads(n):
+    """Pin BLAS threads to n, else 1; without threadpoolctl nothing is pinned,
+    so a given n, which could not take effect, is refused."""
+    from .errors import ConfigError
+
     try:
         from threadpoolctl import threadpool_limits
-        return threadpool_limits(limits=n)
     except ImportError:
-        return contextlib.nullcontext()
+        if n is None:
+            return contextlib.nullcontext()
+        raise ConfigError("--threads needs threadpoolctl, which is not installed")
+    return threadpool_limits(limits=1 if n is None else n)
 
 
 def _say(args, text):
@@ -30,13 +37,16 @@ def _say(args, text):
         print(text)
 
 
-def _option(args, name, cfg, key, default=None):
-    """A command-line option, else the config key, else the default.
-
-    Only an absent option (None) falls through, so an explicit zero is kept.
-    """
-    value = getattr(args, name, None)
-    return cfg.get(key, default) if value is None else value
+def _given(args, cfg, **keys):
+    """Keyword arguments from ``param="config_key"`` pairs: the flag parsed
+    under the parameter's name, else the config key; a setting given neither
+    way is left out, so the callee's default applies.  Only an absent flag
+    (None) falls through, so an explicit zero or empty value is kept."""
+    given = {}
+    for param, key in keys.items():
+        value = getattr(args, param, None)
+        given[param] = cfg.get(key) if value is None else value
+    return {p: v for p, v in given.items() if v is not None}
 
 
 def _save(args, extra, write, *artifact):
@@ -54,21 +64,18 @@ def _model(cfg):
     return build_model(subset(cfg, MODEL_KEYS))
 
 
-def _potential(cfg):
+def _potential(args, cfg):
     from .model import PotentialSpec
 
-    return PotentialSpec(
-        c0=cfg.get("potential_const", 0.0),
-        c1=cfg.get("potential_shape", 0.0),
-        c2=cfg.get("potential_u_half", 0.0),
-    )
+    return PotentialSpec(**_given(args, cfg, c0="potential_const",
+                                  c1="potential_shape", c2="potential_u_half"))
 
 
-def _plan(cfg, seed):
+def _plan(args, cfg):
     from .birkhoff import SamplingPlan
     from .config import PLAN_KEYS, subset
 
-    return SamplingPlan(seed=seed, **subset(cfg, PLAN_KEYS))
+    return SamplingPlan(seed=args.seed, **subset(cfg, PLAN_KEYS))
 
 
 # per-band fields of the band-edges sidecar
@@ -82,8 +89,8 @@ def _run_band_edges(args, cfg, model=None):
 
     if model is None:
         model = _model(cfg)
-    k_top = _option(args, "k", cfg, "k_band", 0)
-    edges = band_edges_upto(model, _potential(cfg), k_top, _plan(cfg, args.seed))
+    edges = band_edges_upto(model, _potential(args, cfg), plan=_plan(args, cfg),
+                            **_given(args, cfg, k_max="k_band"))
     _save(args, {"diagnostics": [
         {f: getattr(e, f) for f in _EDGE_DIAGNOSTICS} for e in edges
     ]}, write_band_edges, edges)
@@ -98,26 +105,21 @@ def _run_resonances(args, cfg):
     from .tableio import read_spectrum, write_resonances
 
     if getattr(args, "spectrum", None) is None:
-        spectrum = synthetic_weyl_spectrum(
-            area=cfg.get("area", 4.0 * 3.141592653589793),
-            mu_max=cfg.get("mu_max", 400.0),
-            jitter=cfg.get("jitter", 0.0),
-            seed=args.seed,
-        )
+        spectrum = synthetic_weyl_spectrum(seed=args.seed, **_given(
+            args, cfg, area="area", mu_max="mu_max", jitter="jitter"))
     else:
         spectrum = read_spectrum(args.spectrum)
-    k_max = _option(args, "kmax", cfg, "k_max", 3)
-    n_max = _option(args, "nmax", cfg, "n_max", 0)
-    rl = resonances_from_laplacian(spectrum, k_max, n_max)
+    rl = resonances_from_laplacian(
+        spectrum, **_given(args, cfg, k_max="k_max", n_max="n_max"))
     _save(args, {"area": spectrum.area, "source": spectrum.source,
                  "n_entries": len(rl)}, write_resonances, rl)
-    _say(args, "%d resonances for k <= %d" % (len(rl), k_max))
+    _say(args, "%d resonances" % len(rl))
     return rl
 
 
 def _run_correlate(args, cfg):
     from .config import parse_observable
-    from .correlation import correlation_series, mean_zero, orbit_plan
+    from .correlation import correlation_series, mean_zero_all, orbit_plan
     from .model import ObservableSpec
     from .tableio import write_series
 
@@ -125,15 +127,10 @@ def _run_correlate(args, cfg):
     u = ObservableSpec(c_bump=1.0) if args.u is None else parse_observable(args.u)
     v = ObservableSpec(c_cos=1.0) if args.v is None else parse_observable(args.v)
     if not args.raw_mean:
-        u = mean_zero(model, u)
-        v = mean_zero(model, v)
+        u, v = mean_zero_all(model, [u, v])
     series = correlation_series(
-        model, u, v,
-        dt=cfg.get("dt", 0.05),
-        n_lags=cfg.get("n_lags", 4000),
-        n_samples=cfg.get("n_samples", 100000),
-        seed=args.seed,
-    )
+        model, u, v, seed=args.seed,
+        **_given(args, cfg, dt="dt", n_lags="n_lags", n_samples="n_samples"))
     n_orbits, stride, length = orbit_plan(len(series), series.n_samples)
     _save(args, {"n_samples": series.n_samples, "n_orbits": n_orbits,
                  "stride": stride, "orbit_length": length,
@@ -149,11 +146,8 @@ def _run_invert(args, cfg):
     from .tableio import read_series, write_modes
 
     series = read_series(args.series)
-    found = harmonic_inversion(
-        series,
-        max_modes=_option(args, "max_modes", cfg, "max_modes", 12),
-        sv_threshold=_option(args, "sv_threshold", cfg, "sv_threshold", 1e-3),
-    )
+    found = harmonic_inversion(series, **_given(
+        args, cfg, max_modes="max_modes", sv_threshold="sv_threshold"))
     # modes at or below the series' noise floor are not resolved
     floor = 5.0 * float(np.median(series.stderr))
     modes = found.significant(floor)
@@ -175,13 +169,8 @@ def _run_weyl(args, cfg, rl=None):
     from .tableio import write_csv
 
     rl = _resonance_list(args, rl)
-    report = weyl_count(
-        rl,
-        k=args.k,
-        b=_option(args, "b", cfg, "weyl_b", 10.0),
-        eps_exponent=cfg.get("eps_exponent", 0.0),
-        b_max=_option(args, "bmax", cfg, "weyl_b_max"),
-    )
+    report = weyl_count(rl, k=args.k, **_given(
+        args, cfg, b="weyl_b", eps_exponent="eps_exponent", b_max="weyl_b_max"))
     _save(args, {"k": report.k, "slope": report.slope,
                  "prefactor": report.prefactor,
                  "fit_omitted": report.fit_omitted},
@@ -190,19 +179,15 @@ def _run_weyl(args, cfg, rl=None):
 
 
 def _run_bands(args, cfg, rl=None, edges=None):
-    from .stats import DEFAULT_IM_CUTOFF, band_membership
+    from .stats import band_membership
     from .tableio import read_band_edges, write_csv
 
     rl = _resonance_list(args, rl)
     if edges is None:
         edges = read_band_edges(args.edges)
     # default enlargement matches the accuracy contract of fitted edges
-    report = band_membership(
-        rl, edges,
-        eps=_option(args, "eps", cfg, "band_eps", 1.0e-3),
-        im_cutoff=_option(args, "im_cutoff", cfg, "im_cutoff",
-                          DEFAULT_IM_CUTOFF),
-    )
+    report = band_membership(rl, edges, **{"eps": 1.0e-3, **_given(
+        args, cfg, eps="band_eps", im_cutoff="im_cutoff")})
     labels = sorted(report.counts, key=str)
     _save(args, {"n_violations": report.n_violations,
                  "im_cutoff": report.im_cutoff, "eps": report.eps},
@@ -217,13 +202,10 @@ def _run_concentrate(args, cfg, rl=None):
     from .tableio import write_csv
 
     rl = _resonance_list(args, rl)
-    d_mean = _option(args, "dmean", cfg, "d_mean")
-    if d_mean is None:
+    given = _given(args, cfg, d_mean="d_mean", b_max="concentration_b_max")
+    if "d_mean" not in given:
         raise _usage("concentrate needs --dmean or a d_mean config key")
-    report = concentration(
-        rl, float(d_mean),
-        b_max=_option(args, "bmax", cfg, "concentration_b_max", 40.0),
-    )
+    report = concentration(rl, **given)
     _save(args, {"d_mean": report.d_mean, "final": report.final,
                  "nonincreasing": report.nonincreasing},
           write_csv, ("b", "statistic"), zip(report.ladder, report.statistic))
@@ -239,15 +221,11 @@ def _run_verify(args, cfg, model=None):
 
     if model is None:
         model = _model(cfg)
-    report = verify_anosov(
-        model,
-        n_samples=cfg.get("verify_samples", 200),
-        t_check=cfg.get("verify_time", 60.0),
-        seed=args.seed,
-    )
+    report = verify_anosov(model, seed=args.seed, **_given(
+        args, cfg, n_samples="verify_samples", t_check="verify_time"))
     payload = dict(dataclasses.asdict(report), passed=report.passed)
     if model.is_exact:
-        ks = liouville_ks(model, n=cfg.get("ks_samples", 15000), seed=args.seed)
+        ks = liouville_ks(model, seed=args.seed, **_given(args, cfg, n="ks_samples"))
         payload["volume_ks"] = {k: float(v) for k, v in ks.items()}
     _save(args, None, write_json, payload)
     _say(args, "hyperbolicity check passed: %s (lambda %.4f)" % (
@@ -262,9 +240,9 @@ def _run_orbit_dump(args, cfg):
     from .tableio import write_orbit_dump
 
     model = _model(cfg)
-    damp = damping_observable(model, _potential(cfg))
-    span = _option(args, "t", cfg, "horizon", 50.0)
-    dt = cfg.get("dt", 0.1)
+    damp = damping_observable(model, _potential(args, cfg))
+    given = _given(args, cfg, t="horizon", dt="dt")
+    span, dt = given.get("t", 50.0), given.get("dt", 0.1)
     n = _step_count(model, span, dt, "t" if args.t is not None else "horizon")
     rng = np.random.default_rng(args.seed)
     z, th = sample_liouville(model, 1, rng)
@@ -284,11 +262,12 @@ def _run_orbit_dump(args, cfg):
 
 
 def _run_figure2(args, cfg):
-    """verify -> edges (k<=3) -> synthetic catalog -> bands/weyl/concentrate.
+    """verify -> edges -> synthetic catalog -> bands/weyl/concentrate.
 
     The model is built once for every stage that needs it.  The catalogue
     and the edges pass to the last three stages in memory; the files hold
-    the same values, since floats are written to round-trip.
+    the same values, since floats are written to round-trip.  Edges run to
+    k_band, else 3; the line is d_mean, else the volume average of D.
     """
     from .birkhoff import space_average
     from .model import damping_observable
@@ -300,14 +279,19 @@ def _run_figure2(args, cfg):
             **dict(vars(args), out=os.path.join(args.out, name), **options))
 
     model = _model(cfg)
+    given = {"k_max": 3, **_given(args, cfg, k_max="k_band", d_mean="d_mean")}
     _run_verify(sub("verify.json"), cfg, model)
-    edges = _run_band_edges(sub("band_edges.csv", k=3), cfg, model)
+    edges = _run_band_edges(sub("band_edges.csv", k_max=given["k_max"]), cfg,
+                            model)
     rl = _run_resonances(sub("resonances.json"), cfg)
     _run_bands(sub("bands.csv"), cfg, rl, edges)
     _run_weyl(sub("weyl.csv", k=0), cfg, rl)
-    d_mean, _ = space_average(model, damping_observable(model, _potential(cfg)),
-                              seed=args.seed)
-    _run_concentrate(sub("concentration.csv", dmean=d_mean), cfg, rl)
+    d_mean = given.get("d_mean")
+    if d_mean is None:
+        d_mean, _ = space_average(
+            model, damping_observable(model, _potential(args, cfg)),
+            seed=args.seed)
+    _run_concentrate(sub("concentration.csv", d_mean=d_mean), cfg, rl)
 
 
 _HANDLERS = {
@@ -339,9 +323,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="random seed recorded in all artifacts")
     common.add_argument("--out", required=True,
                         help="output file (directory for reproduce-fig2)")
-    common.add_argument("--threads", type=int, default=1,
-                        help="linear-algebra worker threads (pinned only "
-                        "when threadpoolctl is installed)")
+    common.add_argument("--threads", type=int,
+                        help="linear-algebra worker threads (default 1; "
+                        "given, it needs threadpoolctl)")
     common.add_argument("--quiet", action="store_true",
                         help="suppress progress lines")
 
@@ -349,13 +333,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("band-edges", parents=[common],
                        help="extremal-average band edges up to --k")
-    p.add_argument("--k", type=int, help="largest band index (default 0)")
+    p.add_argument("--k", dest="k_max", type=int,
+                   help="largest band index (default 0)")
 
     p = sub.add_parser("resonances", parents=[common],
                        help="analytic catalog from a Laplace spectrum")
     p.add_argument("--spectrum", help="CSV index,mu (else synthetic)")
-    p.add_argument("--kmax", type=int, help="largest band index")
-    p.add_argument("--nmax", type=int, help="largest integer resonance")
+    p.add_argument("--kmax", dest="k_max", type=int, help="largest band index")
+    p.add_argument("--nmax", dest="n_max", type=int, help="largest integer resonance")
 
     p = sub.add_parser("correlate", parents=[common],
                        help="Monte Carlo correlation series")
@@ -375,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resonances", required=True)
     p.add_argument("--k", type=int, default=0)
     p.add_argument("--b", type=float)
-    p.add_argument("--bmax", type=float)
+    p.add_argument("--bmax", dest="b_max", type=float)
 
     p = sub.add_parser("bands", parents=[common],
                        help="membership of resonances in enlarged bands")
@@ -387,8 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("concentrate", parents=[common],
                        help="mean distance to the line Re z = <D>")
     p.add_argument("--resonances", required=True)
-    p.add_argument("--dmean", type=float)
-    p.add_argument("--bmax", type=float)
+    p.add_argument("--dmean", dest="d_mean", type=float)
+    p.add_argument("--bmax", dest="b_max", type=float)
 
     sub.add_parser("verify-anosov", parents=[common],
                    help="hyperbolicity, energy-drift, and volume checks")

@@ -26,7 +26,7 @@ import numpy as np
 
 from .birkhoff import space_average
 from .errors import ConfigError, HorizonError
-from .flow import evaluate_observable, make_ensemble, sample_liouville
+from .flow import _step_count, evaluate_observable, make_ensemble, sample_liouville
 from .model import FlowModel, ObservableSpec
 
 
@@ -61,10 +61,25 @@ class CorrelationSeries:
 
 
 def mean_zero(model: FlowModel, spec: ObservableSpec) -> ObservableSpec:
-    """Shift c_const by the volume average ``birkhoff.space_average`` (at its
-    default seed), so the average vanishes up to that estimate's error."""
-    m, _ = space_average(model, spec)
-    return dataclasses.replace(spec, c_const=spec.c_const - m)
+    """The spec shifted to volume average zero: ``mean_zero_all`` of one."""
+    return mean_zero_all(model, [spec])[0]
+
+
+def mean_zero_all(model: FlowModel, specs) -> list:
+    """Each spec with c_const shifted by its volume average, bit for bit
+    ``birkhoff.space_average``'s at its default seed, so each average vanishes
+    up to that estimate's error.  That average adds the u term, c_u_half/2
+    times <u>, last, so one <u> (an orbit ensemble if perturbed) serves all."""
+    rate = None
+    out = []
+    for spec in specs:
+        m, _ = space_average(model, dataclasses.replace(spec, c_u_half=0.0))
+        if spec.needs_u:
+            if rate is None:
+                rate, _ = space_average(model, ObservableSpec(c_u_half=2.0))
+            m += 0.5 * spec.c_u_half * rate
+        out.append(dataclasses.replace(spec, c_const=spec.c_const - m))
+    return out
 
 
 # Grid points per ``sample`` call (module docstring); 4 ran faster than 6 or 8.
@@ -101,9 +116,7 @@ def correlation_series(model: FlowModel, u: ObservableSpec, v: ObservableSpec,
             "lag grid spans %g time units and its orbits %g, beyond the horizon "
             "%g" % (dt * (n_lags - 1), dt * (length - 1), model.horizon))
     if not model.is_exact:
-        n_sub = round(dt / model.step)
-        if n_sub < 1 or abs(n_sub * model.step - dt) > 1e-9:
-            raise ConfigError("dt must be a positive multiple of the model step")
+        _step_count(model, dt, model.step, "dt")
     vol = 2.0 * np.pi * model.area
     z, th = sample_liouville(model, n_orbits, np.random.default_rng(seed))
     chunk = max(2, POINTS_HELD // length)

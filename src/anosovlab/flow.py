@@ -72,7 +72,8 @@ def _step_count(model: FlowModel, T: float, h: float, name: str = "T") -> int:
         raise HorizonError("|T| = %g exceeds the configured horizon %g"
                            % (abs(T), model.horizon))
     n_steps = int(round(T / h))
-    if n_steps < 0 or abs(n_steps * h - T) > 1e-9 * max(1.0, abs(T)):
+    if (n_steps < 0 or (T != 0 and n_steps == 0)
+            or abs(n_steps * h - T) > 1e-9 * max(1.0, abs(T))):
         raise ConfigError("%s = %g is not a nonnegative multiple of the step %g"
                           % (name, T, h))
     return n_steps

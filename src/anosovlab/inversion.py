@@ -65,7 +65,7 @@ def _pinv(a: np.ndarray) -> np.ndarray:
     return ((u[:, :r] / s[:r]) @ vh[:r]).conj().T
 
 
-def harmonic_inversion(series: CorrelationSeries, max_modes: int,
+def harmonic_inversion(series: CorrelationSeries, max_modes: int = 12,
                        sv_threshold: float = 1e-3) -> ModeSet:
     """Extract decaying modes from a correlation series.
 

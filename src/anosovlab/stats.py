@@ -110,7 +110,7 @@ def _window_count(im: np.ndarray, b: float, eps_exponent: float) -> int:
     return int(np.count_nonzero((im > lo) & (im <= hi)))
 
 
-def weyl_count(resonances: ResonanceList, k: int, b: float,
+def weyl_count(resonances: ResonanceList, k: int, b: float = 10.0,
                eps_exponent: float = 0.0,
                b_max: Optional[float] = None) -> WeylReport:
     """Count band-k resonances in (b, b + b^eps] and fit the height ladder.
@@ -176,7 +176,7 @@ class ConcentrationReport:
 
 
 def concentration(resonances: ResonanceList, d_mean: float,
-                  b_max: float) -> ConcentrationReport:
+                  b_max: float = 40.0) -> ConcentrationReport:
     """Mean |Re z - <D>| over band-0 entries with |Im z| < b, b in a ladder."""
     if not np.isfinite(d_mean):
         raise ConfigError("d_mean must be finite, got %r" % (d_mean,))

@@ -2,6 +2,8 @@
 import ast
 import glob
 import hashlib
+import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -272,6 +274,20 @@ class TestExitCodes:
             "correlate", "--config", cfg, "--u", "shape=1", "--v", "shape=1",
             "--quiet", "--out", str(tmp_path / "s.csv")] + raw) == "ConfigError"
 
+    def test_threads_refused_without_threadpoolctl(self, tmp_path, capsys,
+                                                   monkeypatch):
+        # a given --threads that could pin nothing is refused; an absent one
+        # runs as before
+        monkeypatch.setitem(sys.modules, "threadpoolctl", None)
+        out = tmp_path / "r.json"
+        assert main(["resonances", "--threads", "7", "--quiet",
+                     "--out", str(out)]) == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "ConfigError"
+        assert "threadpoolctl" in payload["message"]
+        assert not out.exists()
+        assert main(["resonances", "--quiet", "--out", str(out)]) == 0
+
     def test_missing_series_exits_one(self, tmp_path, capsys):
         code = main(["invert", "--series", str(tmp_path / "nope.csv"),
                      "--out", str(tmp_path / "m.json")])
@@ -326,6 +342,25 @@ class TestArtifacts:
         meta = read_json(sidecar_path(out))
         assert (meta["n_samples"], meta["n_orbits"], meta["stride"],
                 meta["orbit_length"]) == (100, 5, 2, 68)
+
+    def test_correlate_estimates_the_expansion_rate_once(self, tmp_path,
+                                                         monkeypatch):
+        # u and v both carry a u term on a perturbed model: one ensemble
+        # estimates <u> for both mean-zero shifts, and one more is the
+        # correlation stream's own five orbits
+        from anosovlab.birkhoff import MEAN_ORBITS
+        from anosovlab.flow import MidpointEnsemble
+
+        burn_in, sizes = MidpointEnsemble.burn_in, []
+        monkeypatch.setattr(MidpointEnsemble, "burn_in",
+                            lambda ens: sizes.append(ens.n) or burn_in(ens))
+        cfg = _cfg(tmp_path, "model = conformal_perturbation\nepsilon = 0.05\n"
+                             "step = 0.02\nriccati_burn = 2\ndt = 0.1\n"
+                             "n_lags = 20\nn_samples = 100\n")
+        assert main(["correlate", "--config", cfg, "--u", "u_half=1,bump=1",
+                     "--v", "cos=1,u_half=1", "--quiet",
+                     "--out", str(tmp_path / "series.csv")]) == 0
+        assert sizes == [MEAN_ORBITS, 5]
 
     def test_invert_drops_modes_below_the_noise_floor(self, tmp_path,
                                                       catalog_z):
@@ -595,6 +630,39 @@ n_samples = 500
                 assert (alone / artifact).read_bytes() == \
                     (fig2 / artifact).read_bytes(), artifact
 
+    FAST = FAST_EDGES + """
+mu_max = 60
+weyl_b = 5
+concentration_b_max = 7
+verify_samples = 4
+verify_time = 4
+ks_samples = 500
+"""
+
+    def test_k_band_sets_the_edges(self, tmp_path):
+        # the k_band key is used, not replaced by the chain's own k = 3
+        fig2 = tmp_path / "fig2"
+        assert main(["reproduce-fig2", "--config",
+                     _cfg(tmp_path, self.FAST + "k_band = 1\n"), "--quiet",
+                     "--out", str(fig2)]) == 0
+        _, rows = read_csv(fig2 / "band_edges.csv")
+        assert [int(r[0]) for r in rows] == [0, 1]
+
+    def test_explicit_d_mean_sets_the_line(self, tmp_path, monkeypatch):
+        # a d_mean key, even 0, is the concentration line, and <D> is not
+        # estimated; the estimate would read -1/2 on this model
+        from anosovlab import birkhoff
+
+        def unused(*args, **kwargs):
+            raise AssertionError("space_average ran")
+
+        monkeypatch.setattr(birkhoff, "space_average", unused)
+        fig2 = tmp_path / "fig2"
+        assert main(["reproduce-fig2", "--config",
+                     _cfg(tmp_path, self.FAST + "d_mean = 0\n"), "--quiet",
+                     "--out", str(fig2)]) == 0
+        assert read_json(fig2 / "concentration.csv.meta.json")["d_mean"] == 0.0
+
     def test_artifact_bytes_are_pinned(self, tmp_path):
         # every artifact, and every sidecar less its machine-dependent
         # versions entry, keeps its bytes across refactors of the CLI
@@ -645,3 +713,101 @@ n_samples = 500
             "weyl.csv.meta.json":
                 "1b4b4da3e8439fd5363db8475befb0716326d43f31ac3e8a9f099e0be3b0aec0",
         }
+
+
+class _Called(Exception):
+    pass
+
+
+# One row per library entry point a handler calls: the pipeline, its other
+# arguments, a config prefix, the patched module and name, what the handler
+# passes of its own, and each setting as parameter: (config key, flag or
+# None, a value).
+_SETTINGS = [
+    ("band-edges", [], "", "anosovlab.birkhoff", "band_edges_upto", {},
+     {"k_max": ("k_band", "--k", 2)}),
+    ("band-edges", [], "", "anosovlab.model", "PotentialSpec", {},
+     {"c0": ("potential_const", None, 0.5), "c1": ("potential_shape", None, 0.25),
+      "c2": ("potential_u_half", None, 1.0)}),
+    ("resonances", [], "", "anosovlab.catalog", "synthetic_weyl_spectrum", {},
+     {"area": ("area", None, 8.0), "mu_max": ("mu_max", None, 30.0),
+      "jitter": ("jitter", None, 0.25)}),
+    ("resonances", [], "", "anosovlab.catalog", "resonances_from_laplacian", {},
+     {"k_max": ("k_max", "--kmax", 2), "n_max": ("n_max", "--nmax", 2)}),
+    ("correlate", ["--raw-mean"], "", "anosovlab.correlation",
+     "correlation_series", {},
+     {"dt": ("dt", None, 0.5), "n_lags": ("n_lags", None, 7),
+      "n_samples": ("n_samples", None, 9)}),
+    ("invert", ["--series", "{series}"], "", "anosovlab.inversion",
+     "harmonic_inversion", {},
+     {"max_modes": ("max_modes", "--max-modes", 2),
+      "sv_threshold": ("sv_threshold", "--sv-threshold", 0.5)}),
+    ("weyl", ["--resonances", "{res}"], "", "anosovlab.stats", "weyl_count",
+     {"k": 0},
+     {"b": ("weyl_b", "--b", 2.0), "eps_exponent": ("eps_exponent", None, 0.5),
+      "b_max": ("weyl_b_max", "--bmax", 30.0)}),
+    ("bands", ["--resonances", "{res}", "--edges", "{edges}"], "",
+     "anosovlab.stats", "band_membership", {"eps": 1e-3},
+     {"eps": ("band_eps", "--eps", 0.25),
+      "im_cutoff": ("im_cutoff", "--im-cutoff", 2.0)}),
+    ("concentrate", ["--resonances", "{res}", "--dmean", "-0.5"], "",
+     "anosovlab.stats", "concentration", {"d_mean": -0.5},
+     {"b_max": ("concentration_b_max", "--bmax", 30.0)}),
+    ("verify-anosov", [], "", "anosovlab.flow", "verify_anosov", {},
+     {"n_samples": ("verify_samples", None, 3),
+      "t_check": ("verify_time", None, 2.0)}),
+    ("verify-anosov", [], "verify_samples = 0\nverify_time = 1\n",
+     "anosovlab.flow", "liouville_ks", {}, {"n": ("ks_samples", None, 7)}),
+    ("orbit-dump", [], "", "anosovlab.flow", "_step_count",
+     {"T": 50.0, "h": 0.1}, {"T": ("horizon", "--t", 7.0), "h": ("dt", None, 0.5)}),
+]
+
+
+@pytest.mark.parametrize("row", _SETTINGS, ids=[
+    "%s-%s" % (row[0], row[4]) for row in _SETTINGS])
+def test_settings_flag_else_key_else_callee_default(tmp_path, monkeypatch,
+                                                    row):
+    # an empty config passes no setting, so the callee's defaults apply; a
+    # config key is passed under the parameter's name; a flag beats the key,
+    # and an explicit 0 is kept
+    from anosovlab.birkhoff import BandEdges
+    from anosovlab.correlation import CorrelationSeries
+    from anosovlab.tableio import write_band_edges, write_series
+
+    pipeline, argv, base, module, name, own, settings = row
+    files = {"res": tmp_path / "r.json", "edges": tmp_path / "edges.csv",
+             "series": tmp_path / "series.csv"}
+    assert main(["resonances", "--quiet", "--out", str(files["res"])]) == 0
+    write_band_edges(files["edges"], [BandEdges(
+        k=0, gamma_minus=-0.6, gamma_plus=-0.4, horizon=10.0, n_orbits=1,
+        extrapolation_error=0.0)])
+    write_series(files["series"], CorrelationSeries(
+        dt=0.1, values=np.exp(-0.1 * np.arange(60)), stderr=np.zeros(60)))
+    argv = [a.format(**files) for a in argv]
+
+    mod = importlib.import_module(module)
+    signature = inspect.signature(getattr(mod, name))
+    calls = []
+
+    def called(*args, **kwargs):
+        calls.append(signature.bind(*args, **kwargs).arguments)
+        raise _Called
+
+    monkeypatch.setattr(mod, name, called)
+
+    def passed(text, flags):
+        calls.clear()
+        assert main([pipeline, *argv, *flags, "--config",
+                     _cfg(tmp_path, base + text), "--quiet",
+                     "--out", str(tmp_path / "out")]) == 1
+        (bound,) = calls
+        return {p: bound[p] for p in {**own, **settings} if p in bound}
+
+    keys = "".join("%s = %r\n" % (key, value)
+                   for key, _, value in settings.values())
+    zeros = [a for _, flag, _ in settings.values() if flag for a in (flag, "0")]
+    assert passed("", []) == own
+    assert passed(keys, []) == {**own, **{
+        p: value for p, (_, _, value) in settings.items()}}
+    assert passed(keys, zeros) == {**own, **{
+        p: 0 if flag else value for p, (_, flag, value) in settings.items()}}

@@ -11,6 +11,7 @@ from anosovlab.correlation import (
     _lag_means,
     correlation_series,
     mean_zero,
+    mean_zero_all,
     orbit_plan,
 )
 from anosovlab.errors import ConfigError, HorizonError
@@ -70,6 +71,26 @@ class TestObservableMean:
         # only the constant coefficient moves
         assert shifted.c_bump == spec.c_bump
         assert shifted.c_cos == spec.c_cos
+
+    def test_mean_zero_all_matches_each_average(self, exact_model):
+        # bit for bit each spec's own space_average shift, with <u> shared
+        perturbed = build_model(model="conformal_perturbation", epsilon=0.05,
+                                step=0.02, riccati_burn=2.0)
+        specs = [ObservableSpec(c_u_half=1.0, c_bump=1.0),
+                 ObservableSpec(c_cos=1.0, c_u_half=-0.5, c_const=0.25)]
+        for model in (exact_model, perturbed):
+            shifted = mean_zero_all(model, specs)
+            assert [s.c_const for s in shifted] == [
+                s.c_const - space_average(model, s)[0] for s in specs]
+
+    @pytest.mark.parametrize("dt", [0.015, 1e-10])
+    def test_dt_must_be_a_multiple_of_the_step(self, perturbed_model, dt):
+        # a positive dt is never taken as zero steps
+        with pytest.raises(ConfigError, match="^dt = %g is not a nonnegative "
+                           "multiple of the step 0.01$" % dt):
+            correlation_series(perturbed_model, ObservableSpec(c_bump=1.0),
+                               ObservableSpec(c_bump=1.0), dt=dt, n_lags=4,
+                               n_samples=10)
 
     def test_mean_zero_monte_carlo(self, exact_model):
         spec = mean_zero(exact_model, ObservableSpec(c_bump=1.0))
