@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -37,8 +37,6 @@ class CorrelationSeries:
     dt: float
     values: np.ndarray
     stderr: np.ndarray
-    u: Optional[ObservableSpec] = None
-    v: Optional[ObservableSpec] = None
     n_samples: int = 0
     volume: float = 0.0
 
@@ -148,7 +146,7 @@ def correlation_series(model: FlowModel, u: ObservableSpec, v: ObservableSpec,
     var = np.maximum(s2 / n_orbits - mean ** 2, 0.0)
     return CorrelationSeries(dt=dt, values=vol * (ref[:, 0] + mean),
                              stderr=vol * np.sqrt(var / (n_orbits - 1)),
-                             u=u, v=v, n_samples=n_samples, volume=vol)
+                             n_samples=n_samples, volume=vol)
 
 
 def _lag_means(a: np.ndarray, b: np.ndarray, n_lags: int) -> np.ndarray:

@@ -1,15 +1,17 @@
 """Time evolution, unstable expansion rates, and flow-level certificates.
 
 Two interchangeable backends move ensembles of unit (co)tangent vectors
-forwards in time; ``make_ensemble`` picks one by model kind, and callers use
-only the contract the two share (``advance``, ``burn_in``, ``states``, and
-``sample``, which returns the states at k equally spaced times at once).
-Every state triple (z, theta, u) carries the unstable rate u.
+forwards in time.  Both are built from half-plane positions and angles,
+``make_ensemble`` picks one by model kind, and callers use only the contract
+the two share: ``advance`` moves either (integrating observables on the
+midpoint backend only), ``burn_in``, ``states``, and ``sample(dt, k)``, the
+states at k equally spaced times in one batch.  Every state triple
+(z, theta, u) carries the unstable rate u.
 
 * ``ExactEnsemble`` (constant curvature only): states are unit-determinant
   matrices, the flow is right multiplication by diag(e^{t/2}, e^{-t/2}),
-  ``advance`` is one jump by a signed time, and u is identically 1, so
-  orbit integrals are closed forms and none is taken.
+  ``advance(T)`` is ``sample(T, 1)``'s jump by a signed time, states
+  unformed, and u is identically 1, so orbit integrals are closed forms.
 * ``MidpointEnsemble`` (perturbed models only): states are half-plane
   positions z and covectors xi of the Hamiltonian H = e^{-2 psi} y^2 |xi|^2/2
   on the level H = 1/2, advanced by the implicit midpoint rule at the model
@@ -37,10 +39,11 @@ from .fuchsian import (
     halfplane_to_matrix,
     matrix_angle_hp,
     matrix_base_point,
+    to_disk,
     to_halfplane,
 )
 from .model import FlowModel, ObservableSpec
-from .surface import sample_octagon_positions
+from .surface import octagon_angle_cdf, radial_quantile, sample_octagon_positions
 
 _RICCATI_CAP = 50.0
 # |H - 1/2| / step^2 reads 0.2-1.3 on verify runs of up to 80 time units,
@@ -121,21 +124,12 @@ def evaluate_observable(model: FlowModel, spec: ObservableSpec, z,
 class ExactEnsemble:
     """Matrix ensemble under the homogeneous flow (constant curvature)."""
 
-    def __init__(self, model: FlowModel, matrices: np.ndarray):
+    def __init__(self, model: FlowModel, z, theta_h):
         if not model.is_exact:
             raise ConfigError("exact backend requires a constant-curvature model")
         self.model = model
-        self.g = np.array(matrices, dtype=float)
-        if self.g.ndim == 2:
-            self.g = self.g[None]
-        self.t = 0.0
-
-    @classmethod
-    def from_states(cls, model, z, theta_h):
-        g = halfplane_to_matrix(z, theta_h)
-        ens = cls(model, g)
-        model.domain.reduce_matrices(ens.g)
-        return ens
+        self.g = halfplane_to_matrix(z, theta_h)
+        model.domain.reduce_matrices(self.g)
 
     @property
     def n(self) -> int:
@@ -147,12 +141,9 @@ class ExactEnsemble:
         return z, matrix_angle_hp(self.g), np.ones(len(self.g))
 
     def advance(self, T: float) -> None:
-        """One exact jump by the signed time T."""
-        if abs(T) > self.model.horizon:
-            raise HorizonError("|T| = %g exceeds the configured horizon %g"
-                               % (abs(T), self.model.horizon))
+        """``sample(T, 1)``'s check and jump by the signed time T, no states."""
+        _check_lags(self.model, T, 1)
         self.g = self._jumped(np.array([T]))[0]
-        self.t += T
 
     def sample(self, dt: float, k: int):
         """States (z, theta_h, u), each (k, n), at dt, 2 dt, ..., k dt from
@@ -161,7 +152,6 @@ class ExactEnsemble:
         _check_lags(self.model, dt, k)
         g = self._jumped(dt * np.arange(1, k + 1))
         self.g = g[-1].copy()
-        self.t += k * dt
         return matrix_base_point(g), matrix_angle_hp(g), np.ones(g.shape[:2])
 
     def _jumped(self, times):
@@ -204,7 +194,6 @@ class MidpointEnsemble:
             1j * np.asarray(theta_h, dtype=float)
         )
         self.u = np.ones(self.z.shape)
-        self.t = 0.0
 
     @property
     def n(self) -> int:
@@ -262,7 +251,6 @@ class MidpointEnsemble:
             )
         # a refused step leaves the ensemble as it was
         self.z, self.xi, self.u = z, xi, u
-        self.t += h
         return mz, np.angle(mxi), umid
 
     def advance(self, T: float, observables: Sequence[ObservableSpec] = ()):
@@ -301,9 +289,7 @@ class MidpointEnsemble:
 
 def make_ensemble(model: FlowModel, z, theta_h):
     """The backend for the model kind, seeded at (z, theta)."""
-    if model.is_exact:
-        return ExactEnsemble.from_states(model, z, theta_h)
-    return MidpointEnsemble(model, z, theta_h)
+    return (ExactEnsemble if model.is_exact else MidpointEnsemble)(model, z, theta_h)
 
 
 def dual_seeds(model: FlowModel, n_random: int, rng, word_length: int = 6,
@@ -316,8 +302,12 @@ def dual_seeds(model: FlowModel, n_random: int, rng, word_length: int = 6,
     no longer exactly periodic there, but they still probe the recurrent set
     that extremises Birkhoff averages.
     """
+    if word_length < 1:
+        raise ConfigError("word_length must be at least 1, got %r" % (word_length,))
+    if max_closed < 0:
+        raise ConfigError("max_closed must be nonnegative, got %r" % (max_closed,))
     z_r, th_r = sample_liouville(model, n_random, rng)
-    if max_closed <= 0:
+    if max_closed == 0:
         return z_r, th_r
     mats, _ = closed_geodesic_elements(model.generators, word_length,
                                        limit=max_closed)
@@ -417,18 +407,16 @@ def liouville_ks(model: FlowModel, n: int = 15000, t: float = 7.0, seed: int = 3
     pushforward against the exact marginals (conditional radial quantile,
     fibre angle, angular position).
     """
-    from .fuchsian import matrix_to_disk
-    from .surface import octagon_angle_cdf, radial_quantile
-
     if not model.is_exact:
         raise ConfigError("the volume test has exact marginals only at epsilon 0")
     if n < 1:
         raise ConfigError("ks_samples must be at least 1, got %r" % (n,))
     rng = np.random.default_rng(seed)
     z, th = sample_liouville(model, n, rng)
-    ens = ExactEnsemble.from_states(model, z, th)
+    ens = make_ensemble(model, z, th)
     ens.advance(t)
-    w, th_d = matrix_to_disk(ens.g)
+    z, th, _ = ens.states()
+    w, th_d = to_disk(z), halfplane_to_disk_angle(z, th)
     phi_grid, cdf = octagon_angle_cdf()
     return {
         "radial": _ks_uniform(radial_quantile(w)),

@@ -113,13 +113,6 @@ def matrix_angle_hp(g):
     return 0.5 * np.pi - 2.0 * np.arctan2(g[..., 1, 0], g[..., 1, 1])
 
 
-def matrix_to_disk(g):
-    """(w, theta_D): disk base point and disk-frame direction angle."""
-    z = matrix_base_point(g)
-    th = matrix_angle_hp(g) + 0.5 * np.pi - 2.0 * np.angle(z + 1j)
-    return to_disk(z), np.mod(th, 2.0 * np.pi)
-
-
 def halfplane_to_disk_angle(z, theta_h):
     return np.mod(theta_h + 0.5 * np.pi - 2.0 * np.angle(z + 1j), 2.0 * np.pi)
 

@@ -259,8 +259,8 @@ def test_criterion_9_invariant_suite(exact_model, perturbed_fine, tmp_path,
     for model in (exact_model, perturbed_fine):
         z, th = sample_liouville(model, 16, np.random.default_rng(67))
         if model.is_exact:
-            one = ExactEnsemble.from_states(model, z, th)
-            two = ExactEnsemble.from_states(model, z, th)
+            one = ExactEnsemble(model, z, th)
+            two = ExactEnsemble(model, z, th)
             h = model.step
 
             def integral(ens, T):

@@ -176,6 +176,22 @@ class TestExitCodes:
             "--out", str(out)]) == "ConfigError"
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value", [("word_length", "0"),
+                                            ("max_closed", "-5")])
+    def test_band_edges_refuses_nonsense_word_settings(self, tmp_path, capsys,
+                                                       key, value):
+        # neither is quietly replaced by one seed or by no word seeds
+        lines = [line for line in FAST_EDGES.splitlines()
+                 if not line.startswith(key)]
+        cfg = _cfg(tmp_path, "\n".join(lines + ["%s = %s" % (key, value)]) + "\n")
+        out = tmp_path / "edges.csv"
+        assert main(["band-edges", "--config", cfg, "--quiet",
+                     "--out", str(out)]) == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "ConfigError"
+        assert key in payload["message"]
+        assert not out.exists()
+
     def test_weyl_negative_band_index(self, tmp_path, capsys):
         res = tmp_path / "r.json"
         assert main(["resonances", "--out", str(res), "--quiet"]) == 0

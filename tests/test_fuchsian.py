@@ -19,11 +19,9 @@ from anosovlab.fuchsian import (
     closed_geodesic_elements,
     cosh_dist_hp,
     dist_hp,
-    halfplane_to_disk_angle,
     halfplane_to_matrix,
     matrix_angle_hp,
     matrix_base_point,
-    matrix_to_disk,
     mobius,
     to_disk,
     to_halfplane,
@@ -84,10 +82,6 @@ def test_state_matrix_round_trip():
     np.testing.assert_allclose(dets, 1.0, atol=1e-12)
     np.testing.assert_allclose(matrix_base_point(m), z, atol=1e-12)
     np.testing.assert_allclose(np.mod(matrix_angle_hp(m), 2 * np.pi), th, atol=1e-12)
-
-    w, th_d = matrix_to_disk(m)
-    np.testing.assert_allclose(w, to_disk(z), atol=1e-12)
-    np.testing.assert_allclose(th_d, halfplane_to_disk_angle(z, th), atol=1e-11)
 
 
 # The reference loops decide by a cosh-distance table: the nearest of the
