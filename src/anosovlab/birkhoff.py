@@ -30,7 +30,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import AnosovLabError, ConfigError
-from .flow import dual_seeds, evaluate_observable, make_ensemble, sample_liouville
+from .flow import (MAX_CLOSED, WORD_LENGTH, check_word_seeding, dual_seeds,
+                   evaluate_observable, make_ensemble, sample_liouville)
 from .model import FlowModel, ObservableSpec, PotentialSpec, damping_observable
 from .surface import octagon_area
 
@@ -39,21 +40,28 @@ _U_OBSERVABLE = ObservableSpec(c_u_half=2.0)  # integrand u itself
 
 @dataclass(frozen=True)
 class SamplingPlan:
-    """How to sample orbit ensembles for extremal averages."""
+    """How to sample orbit ensembles for extremal averages.
+
+    The seeding fields are checked when the plan is built, whatever the seed
+    rule; the windows, which depend on the model, by ``validate``.
+    """
 
     n_orbits: int = 10000
     seed_rule: str = "both"  # liouville | words | both
     windows: Tuple[float, ...] = (50.0, 100.0, 200.0)
-    word_length: int = 6
-    max_closed: int = 128
+    word_length: int = WORD_LENGTH
+    max_closed: int = MAX_CLOSED
     seed: int = 7
     extrapolation_tol: float = 1e-3
 
-    def validate(self, model: FlowModel) -> None:
+    def __post_init__(self):
         if self.n_orbits < 1:
             raise ConfigError("n_orbits must be at least 1")
         if self.seed_rule not in ("liouville", "words", "both"):
             raise ConfigError("seed_rule must be liouville, words, or both")
+        check_word_seeding(self.word_length, self.max_closed)
+
+    def validate(self, model: FlowModel) -> None:
         if len(self.windows) < 2 or any(
             b <= a for a, b in zip(self.windows, self.windows[1:])
         ):

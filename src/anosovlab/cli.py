@@ -214,6 +214,11 @@ def _run_concentrate(args, cfg, rl=None):
 
 
 def _run_verify(args, cfg, model=None):
+    """Hyperbolicity and energy checks, plus the volume test on an exact model.
+
+    The closed-orbit seeds follow the plan keys band-edges seeds with
+    (``word_length``, ``max_closed``); the volume seeds, ``verify_samples``.
+    """
     import dataclasses
 
     from .flow import liouville_ks, verify_anosov
@@ -222,7 +227,8 @@ def _run_verify(args, cfg, model=None):
     if model is None:
         model = _model(cfg)
     report = verify_anosov(model, seed=args.seed, **_given(
-        args, cfg, n_samples="verify_samples", t_check="verify_time"))
+        args, cfg, n_samples="verify_samples", t_check="verify_time",
+        word_length="word_length", max_closed="max_closed"))
     payload = dict(dataclasses.asdict(report), passed=report.passed)
     if model.is_exact:
         ks = liouville_ks(model, seed=args.seed, **_given(args, cfg, n="ks_samples"))

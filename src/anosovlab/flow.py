@@ -292,20 +292,32 @@ def make_ensemble(model: FlowModel, z, theta_h):
     return (ExactEnsemble if model.is_exact else MidpointEnsemble)(model, z, theta_h)
 
 
-def dual_seeds(model: FlowModel, n_random: int, rng, word_length: int = 6,
-               max_closed: int = 128) -> Tuple[np.ndarray, np.ndarray]:
-    """Volume-random seeds plus points on short closed orbits.
+# The closed-orbit seeding defaults of ``dual_seeds``, which band-edges plans
+# and ``verify_anosov`` share.
+WORD_LENGTH = 6
+MAX_CLOSED = 128
 
-    Closed-orbit seeds are axis points of group elements up to the given
-    word length (distinct traces only); ``max_closed = 0`` skips the word
-    enumeration.  For perturbed metrics the same points are used; they are
-    no longer exactly periodic there, but they still probe the recurrent set
-    that extremises Birkhoff averages.
-    """
+
+def check_word_seeding(word_length: int, max_closed: int) -> None:
+    """The error ``dual_seeds`` raises for these word settings, if any."""
     if word_length < 1:
         raise ConfigError("word_length must be at least 1, got %r" % (word_length,))
     if max_closed < 0:
         raise ConfigError("max_closed must be nonnegative, got %r" % (max_closed,))
+
+
+def dual_seeds(model: FlowModel, n_random: int, rng,
+               word_length: int = WORD_LENGTH,
+               max_closed: int = MAX_CLOSED) -> Tuple[np.ndarray, np.ndarray]:
+    """Volume-random seeds plus points on short closed orbits.
+
+    Closed-orbit seeds are axis points of group elements up to the given
+    word length (distinct traces only, at most ``max_closed``);
+    ``max_closed = 0`` skips the word enumeration.  For perturbed metrics the
+    same points are used; they are no longer exactly periodic there, but they
+    still probe the recurrent set that extremises Birkhoff averages.
+    """
+    check_word_seeding(word_length, max_closed)
     z_r, th_r = sample_liouville(model, n_random, rng)
     if max_closed == 0:
         return z_r, th_r
@@ -341,15 +353,18 @@ class AnosovReport:
 
 
 def verify_anosov(model: FlowModel, n_samples: int = 200, t_check: float = 60.0,
-                  seed: int = 0, word_length: int = 6) -> AnosovReport:
+                  seed: int = 0, word_length: int = WORD_LENGTH,
+                  max_closed: int = MAX_CLOSED) -> AnosovReport:
     """Measure uniform expansion along and against the flow.
 
     The expansion bound is the worst forward average of the unstable rate u
-    over a dual ensemble (volume-random plus short closed orbits); the
-    backward bound repeats this for the reversed flow.  Riccati values after
-    burn-in must lie in [sqrt(-K_max), sqrt(-K_min)], the invariant window
-    of du/dt = -K - u^2 for pinched negative curvature, and the energy of
-    the final states must have drifted by at most ENERGY_DRIFT step^2.
+    over a dual ensemble: n_samples volume-random seeds plus the closed-orbit
+    seeds ``dual_seeds`` draws for word_length and max_closed, the same
+    settings a band-edges plan seeds with.  The backward bound repeats this
+    for the reversed flow.  Riccati values after burn-in must lie in
+    [sqrt(-K_max), sqrt(-K_min)], the invariant window of du/dt = -K - u^2
+    for pinched negative curvature, and the energy of the final states must
+    have drifted by at most ENERGY_DRIFT step^2.
 
     At constant curvature K = -1 the unstable solution is u = 1 on every
     orbit and the exact flow keeps H = 1/2, so the rates, Riccati extremes
@@ -362,7 +377,7 @@ def verify_anosov(model: FlowModel, n_samples: int = 200, t_check: float = 60.0,
         raise ConfigError("verify_samples must be nonnegative, got %r" % (n_samples,))
     _step_count(model, t_check, model.step, "verify_time")
     rng = np.random.default_rng(seed)
-    z, th = dual_seeds(model, n_samples, rng, word_length=word_length)
+    z, th = dual_seeds(model, n_samples, rng, word_length, max_closed)
     k_min, k_max = model.curvature_range
     bounds = (float(np.sqrt(-k_max)), float(np.sqrt(-k_min)))
 

@@ -67,9 +67,14 @@ def mobius(g, z):
     return (g[..., 0, 0] * z + g[..., 0, 1]) / (g[..., 1, 0] * z + g[..., 1, 1])
 
 
+def _cosh_dist_less_one(z1, z2):
+    """cosh d - 1 = |z1 - z2|^2 / (2 Im z1 Im z2) for half-plane points."""
+    return np.abs(z1 - z2) ** 2 / (2.0 * np.imag(z1) * np.imag(z2))
+
+
 def cosh_dist_hp(z1, z2):
     """cosh of the hyperbolic distance between half-plane points."""
-    return 1.0 + np.abs(z1 - z2) ** 2 / (2.0 * np.imag(z1) * np.imag(z2))
+    return 1.0 + _cosh_dist_less_one(z1, z2)
 
 
 def dist_hp(z1, z2):
@@ -217,8 +222,10 @@ class DirichletDomain:
         """
         z = np.asarray(z, dtype=complex)
         reps = np.concatenate([[w], mobius(self.neighbors, w)])
-        # translate-major (9, *z.shape), reduced along the leading axis
-        return cosh_dist_hp(z, reps.reshape((9,) + (1,) * z.ndim)).min(axis=0)
+        # translate-major (9, *z.shape), reduced along the leading axis; fl(1 + x)
+        # is monotone in x, so adding 1 after the minimum keeps the bits
+        return 1.0 + _cosh_dist_less_one(
+            z, reps.reshape((9,) + (1,) * z.ndim)).min(axis=0)
 
     def quotient_dist(self, z, w):
         return np.arccosh(np.maximum(1.0, self.quotient_cosh_dist(z, w)))

@@ -39,6 +39,18 @@ def test_plan_validation(exact_model):
         SamplingPlan(windows=(50.0, 1e4)).validate(exact_model)
 
 
+@pytest.mark.parametrize("settings, key", [
+    ({"seed_rule": "liouville", "max_closed": -5}, "max_closed"),
+    ({"seed_rule": "liouville", "word_length": 0}, "word_length"),
+    ({"seed_rule": "words", "n_orbits": 0}, "n_orbits"),
+    ({"seed_rule": "axes"}, "seed_rule"),
+])
+def test_plan_checks_its_seeding_when_built(settings, key):
+    # for every seed rule, before any model is at hand
+    with pytest.raises(ConfigError, match=key):
+        SamplingPlan(**settings)
+
+
 def test_fit_limit():
     # constant data must come back bit-exact, no fit noise
     assert _fit_limit((50.0, 100.0, 200.0), (-0.5, -0.5, -0.5)) == -0.5

@@ -192,6 +192,34 @@ class TestExitCodes:
         assert key in payload["message"]
         assert not out.exists()
 
+    def test_band_edges_refuses_a_negative_cap_without_words(self, tmp_path,
+                                                             capsys):
+        # the plan refuses it when built, though no word seed is drawn
+        cfg = _cfg(tmp_path, FAST_EDGES.replace("max_closed = 40", "max_closed = -5")
+                   + "seed_rule = liouville\n")
+        out = tmp_path / "edges.csv"
+        assert main(["band-edges", "--config", cfg, "--quiet",
+                     "--out", str(out)]) == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "ConfigError"
+        assert "max_closed" in payload["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [("word_length", "0"),
+                                            ("max_closed", "-5")])
+    def test_verify_refuses_nonsense_word_settings(self, tmp_path, capsys,
+                                                   key, value):
+        # verify seeds from band-edges' keys and refuses them the same way
+        cfg = _cfg(tmp_path, "verify_samples = 4\nverify_time = 1\n%s = %s\n"
+                   % (key, value))
+        out = tmp_path / "verify.json"
+        assert main(["verify-anosov", "--config", cfg, "--quiet",
+                     "--out", str(out)]) == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "ConfigError"
+        assert key in payload["message"]
+        assert not out.exists()
+
     def test_weyl_negative_band_index(self, tmp_path, capsys):
         res = tmp_path / "r.json"
         assert main(["resonances", "--out", str(res), "--quiet"]) == 0
@@ -496,6 +524,16 @@ class TestArtifacts:
         assert payload["lambda_min"] == pytest.approx(1.0, abs=1e-6)
         assert "volume_ks" in payload
 
+    def test_verify_seeds_follow_the_plan_keys(self, tmp_path):
+        # 4 volume seeds plus the 35 distinct closed seeds through
+        # word_length 4, as band-edges draws them, not 128 at length 6
+        cfg = _cfg(tmp_path, FAST_EDGES + "verify_samples = 4\n"
+                   "verify_time = 4\nks_samples = 500\n")
+        out = tmp_path / "verify.json"
+        assert main(["verify-anosov", "--config", cfg, "--quiet",
+                     "--out", str(out)]) == 0
+        assert read_json(out)["n_samples"] == 39
+
 
 class TestExplicitZeros:
     """An explicit 0 or empty input on the command line is used, never
@@ -721,7 +759,7 @@ n_samples = 500
             "resonances.json.meta.json":
                 "975e43bec42424a7754abf75a5c67e569371d2d942f17d8c31b64f6c97cbe8ab",
             "verify.json":
-                "15817d29bd447bea6652600b80fb44912102d26dcf48f042a17cfab8055bde4e",
+                "a5bc5adc0de5f4362c259dfe378645bf2eb3bfadb01c8f9e618bac26baaaa851",
             "verify.json.meta.json":
                 "2504272f7304f60a18ce0818ad747f63bc0de6ed57d9db3b6902d47427335100",
             "weyl.csv":
@@ -771,7 +809,9 @@ _SETTINGS = [
      {"b_max": ("concentration_b_max", "--bmax", 30.0)}),
     ("verify-anosov", [], "", "anosovlab.flow", "verify_anosov", {},
      {"n_samples": ("verify_samples", None, 3),
-      "t_check": ("verify_time", None, 2.0)}),
+      "t_check": ("verify_time", None, 2.0),
+      "word_length": ("word_length", None, 3),
+      "max_closed": ("max_closed", None, 5)}),
     ("verify-anosov", [], "verify_samples = 0\nverify_time = 1\n",
      "anosovlab.flow", "liouville_ks", {}, {"n": ("ks_samples", None, 7)}),
     ("orbit-dump", [], "", "anosovlab.flow", "_step_count",

@@ -420,6 +420,14 @@ def test_verify_anosov_exact_is_closed_form(exact_model):
         verify_anosov(exact_model, n_samples=2, t_check=1e6, word_length=2)
 
 
+def test_verify_anosov_seeds_with_the_word_settings(exact_model):
+    # max_closed caps the closed seeds as in a band-edges plan: 4 volume
+    # seeds plus 10 of the 35 closed classes through length 4
+    report = verify_anosov(exact_model, n_samples=4, t_check=1.0,
+                           word_length=4, max_closed=10)
+    assert report.n_samples == 14
+
+
 def test_verify_anosov_perturbed(perturbed_model):
     report = verify_anosov(perturbed_model, n_samples=10, t_check=10.0)
     assert report.passed
