@@ -127,7 +127,7 @@ def window_averages(model: FlowModel, potential: PotentialSpec,
     shape = (len(plan.windows), len(z))
 
     if model.is_exact:
-        d = evaluate_observable(model, damp, z, th, np.ones(len(z)))
+        d = evaluate_observable(model, damp, z, u=np.ones(len(z)))
         avg_d, avg_u = np.tile(d, (len(plan.windows), 1)), np.ones(shape)
     else:
         ens = make_ensemble(model, z, th).burn_in()
@@ -227,14 +227,13 @@ def space_average(model: FlowModel, f: ObservableSpec,
     """Volume average <f>_M of an observable; returns (mean, stderr).
 
     The shape and bump terms are integrated by one Gauss-Legendre quadrature
-    of the conformal weight times their sum over the polygon, and the angle
-    harmonics integrate out over each fibre.  The u term is the closed form
-    u = 1 at constant curvature.  On a perturbed model it is the mean, with
-    its standard error, over MEAN_ORBITS burned-in Liouville orbits (drawn
-    from ``seed``) of their time averages over MEAN_TIME, rounded to whole
-    steps: the volume is invariant, so each time average is an unbiased
-    estimate of <u>.  A horizon shorter than that time raises HorizonError.
-    The stderr is 0 for every other term.
+    of the conformal weight times their sum over the polygon.  The u term is
+    the closed form u = 1 at constant curvature.  On a perturbed model it is
+    the mean, with its standard error, over MEAN_ORBITS burned-in Liouville
+    orbits (drawn from ``seed``) of their time averages over MEAN_TIME,
+    rounded to whole steps: the volume is invariant, so each time average is
+    an unbiased estimate of <u>.  A horizon shorter than that time raises
+    HorizonError.  The stderr is 0 for every other term.
     """
     mean, err = f.c_const, 0.0
     if f.c_shape != 0.0 or f.c_bump != 0.0:

@@ -125,9 +125,11 @@ def _run_correlate(args, cfg):
 
     model = _model(cfg)
     u = ObservableSpec(c_bump=1.0) if args.u is None else parse_observable(args.u)
-    v = ObservableSpec(c_cos=1.0) if args.v is None else parse_observable(args.v)
+    # no --v is the autocorrelation of u, whose mean-zero shift runs once
+    specs = [u] if args.v is None else [u, parse_observable(args.v)]
     if not args.raw_mean:
-        u, v = mean_zero_all(model, [u, v])
+        specs = mean_zero_all(model, specs)
+    u, v = specs[0], specs[-1]
     series = correlation_series(
         model, u, v, seed=args.seed,
         **_given(args, cfg, dt="dt", n_lags="n_lags", n_samples="n_samples"))
@@ -262,7 +264,7 @@ def _run_orbit_dump(args, cfg):
         rows_z.append(zz[0])
         rows_th.append(tt[0])
         rows_u.append(uu[0])
-        rows_d.append(float(evaluate_observable(model, damp, zz, tt, uu)[0]))
+        rows_d.append(float(evaluate_observable(model, damp, zz, u=uu)[0]))
     _save(args, {"span": span, "dt": dt}, write_orbit_dump,
           rows_t, rows_z, rows_th, rows_u, rows_d)
 
@@ -351,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("correlate", parents=[common],
                        help="Monte Carlo correlation series")
     p.add_argument("--u", help="observable, e.g. 'bump=1,bump_sigma=0.5'")
-    p.add_argument("--v", help="observable (defaults: bump / cos)")
+    p.add_argument("--v", help="observable (default: the --u observable)")
     p.add_argument("--raw-mean", dest="raw_mean", action="store_true",
                    help="skip the mean-zero shift of u and v")
 

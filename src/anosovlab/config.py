@@ -4,8 +4,8 @@ One namespace covers the model, sampling plans, correlation runs, catalog
 generation, and statistics; each pipeline picks the keys it understands.
 Lines are `key = value`, blank lines and # comments are skipped, keys are
 validated against the schema below and values are coerced to the declared
-type.  Unknown keys are errors, not warnings: a typo must not silently fall
-back to a default.
+type.  Unknown and repeated keys are errors, not warnings: a typo must not
+silently fall back to a default, nor a later line replace an earlier one.
 """
 from __future__ import annotations
 
@@ -83,6 +83,7 @@ PLAN_KEYS = (
 
 def parse_config_text(text: str) -> Dict[str, object]:
     out: Dict[str, object] = {}
+    first_line: Dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -93,6 +94,10 @@ def parse_config_text(text: str) -> Dict[str, object]:
         key, value = key.strip(), value.strip()
         if key not in SCHEMA:
             raise ConfigError("line %d: unknown key %r" % (lineno, key))
+        if key in first_line:
+            raise ConfigError("line %d: key %r repeats line %d"
+                              % (lineno, key, first_line[key]))
+        first_line[key] = lineno
         if not value:
             raise ConfigError("line %d: empty value for %r" % (lineno, key))
         coerce = SCHEMA[key][0]
@@ -120,12 +125,19 @@ def subset(cfg: Mapping, keys) -> Dict[str, object]:
     return {k: cfg[k] for k in keys if k in cfg}
 
 
-def parse_observable(text: str):
-    """Observable descriptors like 'bump=1.0,bump_sigma=0.5' or 'cos=1'.
+# observable term -> (ObservableSpec field, coercion)
+_OBSERVABLE_TERMS: Dict[str, tuple] = {
+    **{t: ("c_" + t, float) for t in ("const", "shape", "u_half", "bump")},
+    "bump_center": ("bump_center", complex), "bump_sigma": ("bump_sigma", float),
+}
 
-    Terms: const, shape, u_half, cos, sin, bump, bump_center (complex, disk
-    coordinates), bump_sigma.  Returns the ObservableSpec; text that holds no
-    term is an error, never the zero observable.
+
+def parse_observable(text: str):
+    """Observable descriptors like 'bump=1.0,bump_sigma=0.5' or 'u_half=1'.
+
+    Terms: const, shape, u_half, bump, bump_center (complex, disk
+    coordinates), bump_sigma, each at most once.  Returns the ObservableSpec;
+    text that holds no term is an error, never the zero observable.
     """
     from .model import ObservableSpec
 
@@ -139,15 +151,13 @@ def parse_observable(text: str):
         name, _, value = tok.partition("=")
         name = name.strip()
         value = value.strip()
+        if name not in _OBSERVABLE_TERMS:
+            raise ConfigError("unknown observable term %r" % name)
+        field, coerce = _OBSERVABLE_TERMS[name]
+        if field in fields:
+            raise ConfigError("observable term %r is given twice" % name)
         try:
-            if name in ("const", "shape", "u_half", "cos", "sin", "bump"):
-                fields["c_" + name] = float(value)
-            elif name == "bump_center":
-                fields[name] = complex(value)
-            elif name == "bump_sigma":
-                fields[name] = float(value)
-            else:
-                raise ConfigError("unknown observable term %r" % name)
+            fields[field] = coerce(value)
         except ValueError as exc:
             raise ConfigError(
                 "bad value %r for observable term %r" % (value, name)

@@ -128,13 +128,14 @@ def correlation_series(model: FlowModel, u: ObservableSpec, v: ObservableSpec,
             ens.burn_in()
         a = np.empty((length, ens.n))
         b = a if u == v else np.empty_like(a)
-        # grid point 0, then blocks of LAGS_PER_REDUCTION grid points
+        # grid point 0 (z and u of the states), then blocks of
+        # LAGS_PER_REDUCTION grid points
         edges = [0, *range(1, length, LAGS_PER_REDUCTION), length]
         for lo, hi in zip(edges, edges[1:]):
-            states = ens.sample(dt, hi - lo) if lo else ens.states()
-            a[lo:hi] = evaluate_observable(model, u, *states)
+            zs, us = ens.sample(dt, hi - lo) if lo else ens.states()[::2]
+            a[lo:hi] = evaluate_observable(model, u, zs, u=us)
             if b is not a:
-                b[lo:hi] = evaluate_observable(model, v, *states)
+                b[lo:hi] = evaluate_observable(model, v, zs, u=us)
         for k in range(0, ens.n, group):
             means = _lag_means(a[:, k:k + group], b[:, k:k + group], n_lags)
             if ref is None:

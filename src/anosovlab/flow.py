@@ -4,9 +4,9 @@ Two interchangeable backends move ensembles of unit (co)tangent vectors
 forwards in time.  Both are built from half-plane positions and angles,
 ``make_ensemble`` picks one by model kind, and callers use only the contract
 the two share: ``advance`` moves either (integrating observables on the
-midpoint backend only), ``burn_in``, ``states``, and ``sample(dt, k)``, the
-states at k equally spaced times in one batch.  Every state triple
-(z, theta, u) carries the unstable rate u.
+midpoint backend only), ``burn_in``, ``states`` (z, theta, u), and
+``sample(dt, k)``, the (z, u) that observables read at k equally spaced
+times, in one batch.  u is the unstable rate, theta the half-plane angle.
 
 * ``ExactEnsemble`` (constant curvature only): states are unit-determinant
   matrices, the flow is right multiplication by diag(e^{t/2}, e^{-t/2}),
@@ -98,9 +98,9 @@ def _shape(model: FlowModel):
     return model.shape
 
 
-def evaluate_observable(model: FlowModel, spec: ObservableSpec, z,
-                        theta_h=None, u=None):
-    """Evaluate an observable at reduced half-plane states."""
+def evaluate_observable(model: FlowModel, spec: ObservableSpec, z, *, u=None):
+    """Evaluate an observable at reduced half-plane points z, with unstable
+    rates u where its u term needs them."""
     z = np.asarray(z, dtype=complex)
     val = np.full(z.shape, spec.c_const, dtype=float)
     if spec.c_shape != 0.0:
@@ -109,11 +109,6 @@ def evaluate_observable(model: FlowModel, spec: ObservableSpec, z,
         if u is None:
             raise ValueError("observable needs u but none was supplied")
         val += spec.c_u_half * 0.5 * np.asarray(u)
-    if spec.c_cos != 0.0 or spec.c_sin != 0.0:
-        if theta_h is None:
-            raise ValueError("observable needs an angle but none was supplied")
-        th_d = halfplane_to_disk_angle(z, theta_h)
-        val += spec.c_cos * np.cos(th_d) + spec.c_sin * np.sin(th_d)
     if spec.c_bump != 0.0:
         center = to_halfplane(complex(spec.bump_center))
         d = model.domain.quotient_dist(z, center)
@@ -124,11 +119,11 @@ def evaluate_observable(model: FlowModel, spec: ObservableSpec, z,
 class ExactEnsemble:
     """Matrix ensemble under the homogeneous flow (constant curvature)."""
 
-    def __init__(self, model: FlowModel, z, theta_h):
+    def __init__(self, model: FlowModel, z, theta):
         if not model.is_exact:
             raise ConfigError("exact backend requires a constant-curvature model")
         self.model = model
-        self.g = halfplane_to_matrix(z, theta_h)
+        self.g = halfplane_to_matrix(z, theta)
         model.domain.reduce_matrices(self.g)
 
     @property
@@ -136,7 +131,7 @@ class ExactEnsemble:
         return len(self.g)
 
     def states(self):
-        """(z, theta_h, u) of the current ensemble, reduced."""
+        """(z, theta, u) of the current ensemble, reduced."""
         z = matrix_base_point(self.g)
         return z, matrix_angle_hp(self.g), np.ones(len(self.g))
 
@@ -146,13 +141,13 @@ class ExactEnsemble:
         self.g = self._jumped(np.array([T]))[0]
 
     def sample(self, dt: float, k: int):
-        """States (z, theta_h, u), each (k, n), at dt, 2 dt, ..., k dt from
-        now; the ensemble is left at k dt.  Each lag is one jump from the
-        current matrices, and all k n jumps share one reduction call."""
+        """Positions and rates (z, u), each (k, n), at dt, 2 dt, ..., k dt
+        from now; the ensemble is left at k dt.  Each lag is one jump from
+        the current matrices, and all k n jumps share one reduction call."""
         _check_lags(self.model, dt, k)
         g = self._jumped(dt * np.arange(1, k + 1))
         self.g = g[-1].copy()
-        return matrix_base_point(g), matrix_angle_hp(g), np.ones(g.shape[:2])
+        return matrix_base_point(g), np.ones(g.shape[:2])
 
     def _jumped(self, times):
         """The current matrices flowed by each of ``times``, reduced into the
@@ -183,7 +178,7 @@ class MidpointEnsemble:
 
     n_iter = 4  # fixed-point iterations per step; fixed for reproducibility
 
-    def __init__(self, model: FlowModel, z, theta_h):
+    def __init__(self, model: FlowModel, z, theta):
         if model.is_exact:
             raise ConfigError("midpoint backend requires a perturbed model")
         self.model = model
@@ -191,7 +186,7 @@ class MidpointEnsemble:
         self.z = np.array(z, dtype=complex)
         psi = model.psi(self.z)
         self.xi = (np.exp(psi) / self.z.imag) * np.exp(
-            1j * np.asarray(theta_h, dtype=float)
+            1j * np.asarray(theta, dtype=float)
         )
         self.u = np.ones(self.z.shape)
 
@@ -200,7 +195,7 @@ class MidpointEnsemble:
         return len(self.z)
 
     def states(self):
-        """(z, theta_h, u) of the current ensemble, reduced."""
+        """(z, theta, u) of the current ensemble, reduced."""
         return self.z, np.angle(self.xi), self.u
 
     def _force(self, z, xi, curvature, centers):
@@ -217,7 +212,7 @@ class MidpointEnsemble:
         return vz, vxi, curv
 
     def step(self):
-        """One implicit midpoint step; returns the midpoint (z, theta, u)."""
+        """One implicit midpoint step; returns the midpoint (z, u)."""
         h = self.h
         z0, xi0 = self.z, self.xi
         mz, mxi = z0, xi0
@@ -251,7 +246,7 @@ class MidpointEnsemble:
             )
         # a refused step leaves the ensemble as it was
         self.z, self.xi, self.u = z, xi, u
-        return mz, np.angle(mxi), umid
+        return mz, umid
 
     def advance(self, T: float, observables: Sequence[ObservableSpec] = ()):
         """Advance by T, integrating observables at the scheme's midpoints.
@@ -261,21 +256,20 @@ class MidpointEnsemble:
         n_steps = _step_count(self.model, T, self.h)
         totals = np.zeros((len(observables), self.n))
         for _ in range(n_steps):
-            mz, mth, mu = self.step()
+            mz, mu = self.step()
             for i, spec in enumerate(observables):
-                totals[i] += evaluate_observable(self.model, spec, mz, mth, mu)
+                totals[i] += evaluate_observable(self.model, spec, mz, u=mu)
         return totals * self.h
 
     def sample(self, dt: float, k: int):
-        """States (z, theta_h, u), each (k, n), after each of k advances by
-        dt; the same bits as k calls of ``advance`` and ``states``."""
+        """Positions and rates (z, u), each (k, n), after each of k advances
+        by dt; the same bits as k calls of ``advance`` and ``states``."""
         _check_lags(self.model, dt, k)
-        rows = []
-        for _ in range(k):
+        z, u = np.empty((k, self.n), dtype=complex), np.empty((k, self.n))
+        for i in range(k):
             self.advance(dt)
-            rows.append(self.states())
-        z, th, u = zip(*rows)
-        return np.stack(z), np.stack(th), np.stack(u)
+            z[i], u[i] = self.z, self.u
+        return z, u
 
     def burn_in(self):
         """Relax the Riccati variable onto the unstable solution.
@@ -287,9 +281,9 @@ class MidpointEnsemble:
         return self
 
 
-def make_ensemble(model: FlowModel, z, theta_h):
+def make_ensemble(model: FlowModel, z, theta):
     """The backend for the model kind, seeded at (z, theta)."""
-    return (ExactEnsemble if model.is_exact else MidpointEnsemble)(model, z, theta_h)
+    return (ExactEnsemble if model.is_exact else MidpointEnsemble)(model, z, theta)
 
 
 # The closed-orbit seeding defaults of ``dual_seeds``, which band-edges plans

@@ -118,17 +118,17 @@ def matrix_angle_hp(g):
     return 0.5 * np.pi - 2.0 * np.arctan2(g[..., 1, 0], g[..., 1, 1])
 
 
-def halfplane_to_disk_angle(z, theta_h):
-    return np.mod(theta_h + 0.5 * np.pi - 2.0 * np.angle(z + 1j), 2.0 * np.pi)
+def halfplane_to_disk_angle(z, theta):
+    return np.mod(theta + 0.5 * np.pi - 2.0 * np.angle(z + 1j), 2.0 * np.pi)
 
 
-def halfplane_to_matrix(z, theta_h):
+def halfplane_to_matrix(z, theta):
     """Unit-determinant matrix for a half-plane point and direction angle.
 
-    Vectorised: z, theta_h broadcast to a (..., 2, 2) array.
+    Vectorised: z, theta broadcast to a (..., 2, 2) array.
     """
     z = np.asarray(z, dtype=complex)
-    th = np.asarray(theta_h, dtype=float)
+    th = np.asarray(theta, dtype=float)
     alpha = 0.5 * (0.5 * np.pi - th)
     x, y = z.real, z.imag
     sy = np.sqrt(y)

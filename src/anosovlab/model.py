@@ -72,21 +72,12 @@ class ObservableSpec:
     value = c_const
           + c_shape * shape(z)
           + c_u_half * u/2
-          + c_cos * cos(theta_D) + c_sin * sin(theta_D)
           + c_bump * exp(-d_M(z, bump_center)^2 / (2 bump_sigma^2))
-
-    The angle harmonics depend on the disk frame, not just on the quotient
-    surface (no smooth global direction field exists on a genus-2 unit
-    tangent bundle), so correlation runs that must stay strictly inside the
-    function space of the transfer operator should use the bump and shape
-    terms; the harmonics remain available as chart-frame diagnostics.
     """
 
     c_const: float = 0.0
     c_shape: float = 0.0
     c_u_half: float = 0.0
-    c_cos: float = 0.0
-    c_sin: float = 0.0
     c_bump: float = 0.0
     bump_center: complex = 0.35 + 0.1j  # disk coordinates
     bump_sigma: float = 0.6

@@ -16,9 +16,14 @@ import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
 from anosovlab.catalog import ResonanceList, band_label  # noqa: E402
-from anosovlab.flow import make_ensemble  # noqa: E402
-from anosovlab.fuchsian import cosh_dist_hp, mobius  # noqa: E402
+from anosovlab.flow import evaluate_observable, make_ensemble  # noqa: E402
+from anosovlab.fuchsian import (  # noqa: E402
+    cosh_dist_hp,
+    halfplane_to_matrix,
+    mobius,
+)
 from anosovlab.model import _curvature, build_model  # noqa: E402
+from anosovlab.surface import octagon_area  # noqa: E402
 
 
 @pytest.fixture(scope="session")
@@ -56,6 +61,29 @@ def flow_map():
         zz, th, _ = ens.states()
         return zz, np.mod(th, 2.0 * np.pi)
     return advance
+
+
+@pytest.fixture(scope="session")
+def circle_correlation():
+    """circle_correlation(model, f, t, n_pos, n_dir): the autocorrelation
+    C(t) = int_M f(x) (int f(phi_t(x, theta)) dtheta) dx of a position
+    observable on the exact model, without noise: Gauss-Legendre
+    ``octagon_area`` at n_pos^2 nodes per sector, times the midpoint rule at
+    n_dir fibre angles.  phi_t(z, theta) is the closed form g(i e^t) for the
+    frame g of (z, theta), reduced as points, so the oracle shares neither
+    the exact backend's jump nor its matrix reduction."""
+    def correlate(model, f, t, n_pos, n_dir):
+        theta = (np.arange(n_dir) + 0.5) * (2.0 * np.pi / n_dir)
+
+        def weight(z):
+            g = halfplane_to_matrix(z.reshape(-1, 1), theta).reshape(-1, 2, 2)
+            zt, _, _ = model.domain.reduce_points(mobius(g, 1j * np.exp(t)),
+                                                  np.zeros(len(g)))
+            circle = evaluate_observable(model, f, zt).reshape(-1, n_dir)
+            return (evaluate_observable(model, f, z)
+                    * circle.sum(axis=1).reshape(z.shape) * (2.0 * np.pi / n_dir))
+        return octagon_area(weight, n_ang=n_pos, n_rad=n_pos)
+    return correlate
 
 
 @pytest.fixture(scope="session")

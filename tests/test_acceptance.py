@@ -240,7 +240,7 @@ def test_criterion_9_invariant_suite(exact_model, perturbed_fine, tmp_path,
     # Riccati residual on perturbed orbits against a 4th-order stencil
     rng = np.random.default_rng(66)
     z, th = sample_liouville(perturbed_fine, 8, rng)
-    ens = MidpointEnsemble(perturbed_fine, z, theta_h=th)
+    ens = MidpointEnsemble(perturbed_fine, z, theta=th)
     ens.burn_in()
     us, zs = [], []
     for _ in range(round(1.0 / ens.h)):
@@ -264,14 +264,14 @@ def test_criterion_9_invariant_suite(exact_model, perturbed_fine, tmp_path,
             h = model.step
 
             def integral(ens, T):
-                states = ens.sample(h, round(T / h))
-                return h * evaluate_observable(model, spec, *states).sum(axis=0)
+                zs, us = ens.sample(h, round(T / h))
+                return h * evaluate_observable(model, spec, zs, u=us).sum(axis=0)
 
             total = integral(one, 3.0)
             parts = integral(two, 1.25) + integral(two, 1.75)
         else:
-            one = MidpointEnsemble(model, z, theta_h=th)
-            two = MidpointEnsemble(model, z, theta_h=th)
+            one = MidpointEnsemble(model, z, theta=th)
+            two = MidpointEnsemble(model, z, theta=th)
             one.burn_in()
             two.burn_in()
             total = one.advance(1.0, observables=[spec])[0]
@@ -296,8 +296,8 @@ def test_criterion_9_invariant_suite(exact_model, perturbed_fine, tmp_path,
     )
     checks["group law"] = (gap, 1e-8)
     za, tha = sample_liouville(perturbed_fine, 4, np.random.default_rng(69))
-    cont_a = MidpointEnsemble(perturbed_fine, za, theta_h=tha)
-    cont_b = MidpointEnsemble(perturbed_fine, za, theta_h=tha)
+    cont_a = MidpointEnsemble(perturbed_fine, za, theta=tha)
+    cont_b = MidpointEnsemble(perturbed_fine, za, theta=tha)
     cont_a.advance(0.3)
     cont_a.advance(0.2)
     cont_b.advance(0.5)

@@ -195,7 +195,7 @@ def test_space_average_expansion_rate_gauss_bonnet(perturbed_model):
     n_steps = round(MEAN_TIME / model.step)
     s1 = s2 = 0.0
     for _ in range(n_steps):
-        _, _, u = ens.step()
+        _, u = ens.step()
         s1, s2 = s1 + u, s2 + u * u
     T = n_steps * model.step
     avg_u, avg_u2 = s1 * model.step / T, s2 * model.step / T

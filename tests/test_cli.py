@@ -311,6 +311,19 @@ class TestExitCodes:
         assert setting in payload["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, term", [("--u", "cos=1"), ("--v", "sin=1")])
+    def test_correlate_refuses_angle_terms(self, tmp_path, capsys, flag, term):
+        # the disk-frame angle harmonics are not observables on the surface
+        cfg = _cfg(tmp_path, "dt = 0.25\nn_lags = 4\nn_samples = 10\n")
+        out = tmp_path / "s.csv"
+        assert main(["correlate", "--config", cfg, flag, term, "--quiet",
+                     "--out", str(out)]) == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "ConfigError"
+        assert "unknown observable term %r" % term[:3] in payload["message"]
+        assert not out.exists()
+        assert not os.path.exists(sidecar_path(out))
+
     @pytest.mark.parametrize("raw", [["--raw-mean"], []])
     def test_shape_observable_on_exact_model(self, tmp_path, capsys, raw):
         cfg = _cfg(tmp_path, "dt = 0.25\nn_lags = 10\nn_samples = 100\n")
@@ -363,7 +376,7 @@ class TestArtifacts:
         cfg = _cfg(tmp_path, "dt = 0.25\nn_lags = 120\nn_samples = 4000\n")
         series_path = tmp_path / "series.csv"
         assert main(["correlate", "--config", cfg, "--quiet",
-                     "--u", "cos=1", "--v", "cos=1",
+                     "--u", "bump=1", "--v", "bump=1",
                      "--out", str(series_path)]) == 0
         series = read_series(series_path)
         assert len(series) == 120
@@ -382,10 +395,25 @@ class TestArtifacts:
         cfg = _cfg(tmp_path, "dt = 0.25\nn_lags = 30\nn_samples = 100\n")
         out = tmp_path / "series.csv"
         assert main(["correlate", "--config", cfg, "--quiet",
-                     "--u", "cos=1", "--v", "cos=1", "--out", str(out)]) == 0
+                     "--u", "bump=1", "--v", "bump=1", "--out", str(out)]) == 0
         meta = read_json(sidecar_path(out))
         assert (meta["n_samples"], meta["n_orbits"], meta["stride"],
                 meta["orbit_length"]) == (100, 5, 2, 68)
+
+    def test_correlate_without_v_is_the_autocorrelation(self, tmp_path):
+        # no --v correlates --u with itself: the same bytes as --v = --u;
+        # with no --u either, that is the default bump's autocorrelation
+        cfg = _cfg(tmp_path, "dt = 0.25\nn_lags = 20\nn_samples = 100\n")
+        argv = ["correlate", "--config", cfg, "--quiet"]
+        outs = [tmp_path / name for name in ("none.csv", "u.csv", "uv.csv")]
+        for given, out in zip([[], ["--u", "bump=1"],
+                               ["--u", "bump=1", "--v", "bump=1"]], outs):
+            assert main(argv + given + ["--out", str(out)]) == 0
+        for out in outs[1:]:
+            assert out.read_bytes() == outs[0].read_bytes()
+            with open(sidecar_path(out), "rb") as a, \
+                    open(sidecar_path(outs[0]), "rb") as b:
+                assert a.read() == b.read()
 
     def test_correlate_estimates_the_expansion_rate_once(self, tmp_path,
                                                          monkeypatch):
@@ -402,18 +430,18 @@ class TestArtifacts:
                              "step = 0.02\nriccati_burn = 2\ndt = 0.1\n"
                              "n_lags = 20\nn_samples = 100\n")
         assert main(["correlate", "--config", cfg, "--u", "u_half=1,bump=1",
-                     "--v", "cos=1,u_half=1", "--quiet",
+                     "--v", "bump=1,bump_sigma=0.4,u_half=1", "--quiet",
                      "--out", str(tmp_path / "series.csv")]) == 0
         assert sizes == [MEAN_ORBITS, 5]
 
     def test_invert_drops_modes_below_the_noise_floor(self, tmp_path,
                                                       catalog_z):
-        # at this seed the unfiltered inversion returns a growing mode whose
+        # at this seed the unfiltered inversion returns a growing pair whose
         # amplitude lies far below 5 median(stderr) of the series
         cfg = _cfg(tmp_path, "dt = 0.25\nn_lags = 120\nn_samples = 4000\n")
         series_path = tmp_path / "series.csv"
-        assert main(["correlate", "--config", cfg, "--quiet", "--seed", "1",
-                     "--u", "cos=1", "--v", "cos=1",
+        assert main(["correlate", "--config", cfg, "--quiet", "--seed", "3",
+                     "--u", "bump=1", "--v", "bump=1",
                      "--out", str(series_path)]) == 0
         modes_path = tmp_path / "modes.json"
         assert main(["invert", "--series", str(series_path), "--seed", "1",
@@ -426,6 +454,7 @@ class TestArtifacts:
         floor = 5.0 * np.median(read_series(series_path).stderr)
         assert meta["noise_floor"] == pytest.approx(floor, rel=1e-12)
         assert meta["n_modes"] == len(zs)
+        assert meta["n_dropped"] >= 1
         assert meta["n_modes"] + meta["n_dropped"] <= 4
 
     def test_invert_keeps_every_mode_without_noise(self, tmp_path, catalog_z):
@@ -574,9 +603,9 @@ class TestExplicitZeros:
         assert "max_modes" in payload["message"]
         assert not out.exists()
 
-    @pytest.mark.parametrize("u, v", [("", ""), ("cos=1", " , ")])
+    @pytest.mark.parametrize("u, v", [("", ""), ("bump=1", " , ")])
     def test_correlate_empty_observable_raises(self, tmp_path, capsys, u, v):
-        # empty text is not the default bump / cos pair
+        # empty text is not the default bump autocorrelation
         cfg = _cfg(tmp_path, "dt = 0.25\nn_lags = 4\nn_samples = 10\n")
         out = tmp_path / "s.csv"
         assert main(["correlate", "--config", cfg, "--u", u, "--v", v,

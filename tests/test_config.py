@@ -67,6 +67,12 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="line 2"):
             parse_config_text("epsilon = 0.05\nbogus = 1")
 
+    def test_repeated_key(self):
+        # the later line would silently replace the earlier one
+        with pytest.raises(ConfigError,
+                           match="line 3: key 'epsilon' repeats line 1"):
+            parse_config_text("epsilon = 0.05\nstep = 0.01\nepsilon = 0.2")
+
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text(SAMPLE)
@@ -87,9 +93,9 @@ class TestParseConfig:
 
 class TestParseObservable:
     def test_coefficients(self):
-        spec = parse_observable("const=1.5, cos=2, u_half=-0.5")
+        spec = parse_observable("const=1.5, shape=2, u_half=-0.5")
         assert spec.c_const == 1.5
-        assert spec.c_cos == 2.0
+        assert spec.c_shape == 2.0
         assert spec.c_u_half == -0.5
         assert spec.c_bump == 0.0
 
@@ -109,10 +115,15 @@ class TestParseObservable:
         with pytest.raises(ConfigError, match="unknown observable term"):
             parse_observable("quartic=1")
 
+    def test_repeated_term(self):
+        # the second value would silently replace the first
+        with pytest.raises(ConfigError, match="'bump' is given twice"):
+            parse_observable("bump=1, bump=2")
+
     def test_bad_value(self):
         with pytest.raises(ConfigError, match="bad value"):
-            parse_observable("cos=loud")
+            parse_observable("bump=loud")
 
     def test_missing_equals(self):
         with pytest.raises(ConfigError, match="name=value"):
-            parse_observable("cos")
+            parse_observable("bump")

@@ -49,11 +49,6 @@ class TestObservableMean:
         assert mean == 2.0 + 1.5
         assert err == 0.0
 
-    def test_harmonics_average_out(self, exact_model):
-        spec = ObservableSpec(c_const=1.0, c_cos=5.0, c_sin=-3.0)
-        mean, _ = space_average(exact_model, spec)
-        assert mean == 1.0
-
     def test_bump_matches_quadrature(self, exact_model):
         spec = ObservableSpec(c_bump=1.0)
         mean, _ = space_average(exact_model, spec)
@@ -64,20 +59,21 @@ class TestObservableMean:
         assert mean == pytest.approx(direct, rel=1e-12)
 
     def test_mean_zero_shift(self, exact_model):
-        spec = ObservableSpec(c_const=0.3, c_bump=1.0, c_cos=0.5)
+        spec = ObservableSpec(c_const=0.3, c_bump=1.0, bump_sigma=0.5)
         shifted = mean_zero(exact_model, spec)
         mean, _ = space_average(exact_model, shifted)
         assert abs(mean) < 1e-12
         # only the constant coefficient moves
         assert shifted.c_bump == spec.c_bump
-        assert shifted.c_cos == spec.c_cos
+        assert shifted.bump_sigma == spec.bump_sigma
 
     def test_mean_zero_all_matches_each_average(self, exact_model):
         # bit for bit each spec's own space_average shift, with <u> shared
         perturbed = build_model(model="conformal_perturbation", epsilon=0.05,
                                 step=0.02, riccati_burn=2.0)
         specs = [ObservableSpec(c_u_half=1.0, c_bump=1.0),
-                 ObservableSpec(c_cos=1.0, c_u_half=-0.5, c_const=0.25)]
+                 ObservableSpec(c_bump=1.0, bump_sigma=0.4, c_u_half=-0.5,
+                                c_const=0.25)]
         for model in (exact_model, perturbed):
             shifted = mean_zero_all(model, specs)
             assert [s.c_const for s in shifted] == [
@@ -96,7 +92,7 @@ class TestObservableMean:
         spec = mean_zero(exact_model, ObservableSpec(c_bump=1.0))
         rng = np.random.default_rng(3)
         z, th = sample_liouville(exact_model, 200000, rng)
-        vals = evaluate_observable(exact_model, spec, z, th)
+        vals = evaluate_observable(exact_model, spec, z)
         stderr = vals.std() / np.sqrt(len(vals))
         assert abs(vals.mean()) < 5.0 * stderr
 
@@ -114,14 +110,15 @@ class TestCorrelationSeriesEstimator:
         assert series.n_samples == 500
 
     def test_zero_lag_matches_phase_average(self, exact_model):
-        # C(0) = Vol <u v>; for u = v = cos the fibre average of cos^2 is 1/2
-        u = ObservableSpec(c_cos=1.0)
+        # C(0) = Vol <u v>; for u = v = bump, 2 pi times the area integral
+        # of the bump's square
+        u = ObservableSpec(c_bump=1.0)
         series = correlation_series(exact_model, u, u, dt=0.25, n_lags=4,
                                     n_samples=40000, seed=2)
         vol = series.volume
-        assert series.values[0] == pytest.approx(
-            0.5 * vol, abs=6.0 * series.stderr[0]
-        )
+        c0 = 2.0 * np.pi * octagon_area(
+            lambda z: evaluate_observable(exact_model, u, z) ** 2)
+        assert series.values[0] == pytest.approx(c0, abs=6.0 * series.stderr[0])
         assert series.stderr[0] < 0.01 * vol
 
     def test_mixing_decay(self, exact_model):
@@ -140,7 +137,7 @@ class TestCorrelationSeriesEstimator:
                                n_samples=n_samples)
 
     def test_deterministic_for_fixed_seed(self, exact_model):
-        spec = ObservableSpec(c_cos=1.0, c_bump=0.5)
+        spec = ObservableSpec(c_const=1.0, c_bump=0.5)
         a = correlation_series(exact_model, spec, spec, dt=0.5, n_lags=5,
                                n_samples=2000, seed=9)
         b = correlation_series(exact_model, spec, spec, dt=0.5, n_lags=5,
@@ -151,7 +148,7 @@ class TestCorrelationSeriesEstimator:
     def test_chunking_agrees_statistically(self, exact_model, monkeypatch):
         # every seed is drawn before the first block of orbits, so blocks of
         # 1000 and of 300 orbits (24-point orbits) regroup the same sums
-        spec = ObservableSpec(c_cos=1.0)
+        spec = ObservableSpec(c_bump=1.0)
         kw = dict(dt=0.5, n_lags=5, n_samples=20000, seed=9)
         assert orbit_plan(5, 20000)[2] == 24
         monkeypatch.setattr(correlation, "POINTS_HELD", 24 * 1000)
@@ -190,7 +187,7 @@ class TestCorrelationSeriesEstimator:
     def test_backends_agree_at_zero_perturbation(self, exact_model):
         flat = build_model(model="conformal_perturbation", epsilon=0.0,
                            step=0.01, horizon=100.0)
-        spec = ObservableSpec(c_cos=1.0)
+        spec = ObservableSpec(c_bump=1.0)
         kw = dict(dt=0.5, n_lags=5, n_samples=8000, seed=11)
         a = correlation_series(exact_model, spec, spec, **kw)
         b = correlation_series(flat, spec, spec, **kw)
@@ -231,12 +228,14 @@ def _per_start_reference(model, u, v, dt, n_lags, n_samples, seed):
     point flows back through every lag and serves once per lag."""
     z, th = sample_liouville(model, n_samples, np.random.default_rng(seed))
     ens = make_ensemble(model, z, th)
-    u0 = evaluate_observable(model, u, *ens.states())
+    zs, _, us = ens.states()
+    u0 = evaluate_observable(model, u, zs, u=us)
     w = np.empty((n_lags, n_samples))
     for lag in range(n_lags):
         if lag > 0:
             ens.advance(-dt)
-        w[lag] = u0 * evaluate_observable(model, v, *ens.states())
+        zs, _, us = ens.states()
+        w[lag] = u0 * evaluate_observable(model, v, zs, u=us)
     vol = 2.0 * np.pi * model.area
     return vol * w.mean(axis=1), vol * w.std(axis=1, ddof=1) / np.sqrt(n_samples)
 
@@ -272,6 +271,19 @@ class TestTimeAveragedEstimator:
         stderr = np.array([r.stderr for r in runs])
         z = (values - values.mean(axis=0)) / stderr
         assert 0.85 <= z.std() <= 1.15
+
+    def test_matches_the_noise_free_quadrature(self, exact_model, bump,
+                                               circle_correlation):
+        # criterion 7's observable at lags 0-3: every lag within 3 stderr
+        # of the quadrature, which two resolutions pin to 1e-4
+        series = correlation_series(exact_model, bump, bump, dt=1.0,
+                                    n_lags=4, n_samples=1_000_000, seed=5)
+        coarse, fine = (np.array([circle_correlation(exact_model, bump, t,
+                                                     n_pos, n_dir)
+                                  for t in series.times])
+                        for n_pos, n_dir in ((32, 96), (40, 112)))
+        assert np.max(np.abs(coarse - fine)) < 1e-4
+        assert np.all(np.abs(series.values - fine) < 3.0 * series.stderr)
 
     @pytest.mark.parametrize("seed", [1, 4242])
     def test_agrees_with_per_start_reference(self, exact_model, bump, seed):

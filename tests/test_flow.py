@@ -106,7 +106,7 @@ def _energy(ens):
 def test_energy_conservation(perturbed_model):
     rng = np.random.default_rng(64)
     z, th = sample_liouville(perturbed_model, 30, rng)
-    ens = MidpointEnsemble(perturbed_model, z, theta_h=th)
+    ens = MidpointEnsemble(perturbed_model, z, theta=th)
     devs = []
     for _ in range(4):
         ens.advance(5.0)
@@ -132,7 +132,7 @@ def test_riccati_stationary_at_epsilon_zero(unperturbed_model):
 def test_riccati_invariant_window(perturbed_model):
     rng = np.random.default_rng(65)
     z, th = sample_liouville(perturbed_model, 50, rng)
-    ens = MidpointEnsemble(perturbed_model, z, theta_h=th)
+    ens = MidpointEnsemble(perturbed_model, z, theta=th)
     ens.burn_in()
     ens.advance(30.0)
     k_min, k_max = perturbed_model.curvature_range
@@ -154,7 +154,7 @@ def test_riccati_residual_fine(perturbed_fine, curvature):
     # recorded u must satisfy du/dt = -K - u^2 against a high-order stencil
     rng = np.random.default_rng(66)
     z, th = sample_liouville(perturbed_fine, 8, rng)
-    ens = MidpointEnsemble(perturbed_fine, z, theta_h=th)
+    ens = MidpointEnsemble(perturbed_fine, z, theta=th)
     ens.burn_in()
     us, zs = [], []
     for _ in range(round(1.0 / ens.h)):
@@ -177,11 +177,11 @@ def test_advance_integrals_are_additive(perturbed_model):
     # the same midpoint samples enter both sums, so any difference is pure
     # floating-point regrouping
     z, th = sample_liouville(perturbed_model, 10, rng)
-    split = MidpointEnsemble(perturbed_model, z, theta_h=th)
+    split = MidpointEnsemble(perturbed_model, z, theta=th)
     part = split.advance(1.0, observables=[spec]) + split.advance(
         2.0, observables=[spec]
     )
-    whole = MidpointEnsemble(perturbed_model, z, theta_h=th)
+    whole = MidpointEnsemble(perturbed_model, z, theta=th)
     total = whole.advance(3.0, observables=[spec])
     np.testing.assert_allclose(part, total, rtol=1e-13)
 
@@ -207,7 +207,7 @@ def test_ensemble_contract(fixture, request):
     else:
         # integrals at the scheme's midpoints, additive over advances; the
         # backend steps forwards only
-        spec = ObservableSpec(c_u_half=2.0, c_cos=0.5)
+        spec = ObservableSpec(c_u_half=2.0, c_bump=0.5)
         split = make_ensemble(model, z, th).burn_in()
         fresh = make_ensemble(model, z, th).burn_in()
         part = split.advance(1.0, [spec]) + split.advance(2.0, [spec])
@@ -218,16 +218,18 @@ def test_ensemble_contract(fixture, request):
         with pytest.raises(ConfigError):
             ens.advance(-0.5)
 
-    # sample(dt, k): the states at dt, ..., k dt at once, ending at k dt
+    # sample(dt, k): the positions and rates at dt, ..., k dt at once,
+    # ending at k dt
     dt, k = 4 * model.step, 3
     batch = make_ensemble(model, z, th).burn_in()
     steps = make_ensemble(model, z, th).burn_in()
     got = batch.sample(dt, k)
-    assert [x.shape for x in got] == [(k, 10)] * 3
+    assert [x.shape for x in got] == [(k, 10)] * 2
     ref = []
     for _ in range(k):
         steps.advance(dt)
-        ref.append(steps.states())
+        zs, _, us = steps.states()
+        ref.append((zs, us))
     ref = [np.stack(r) for r in zip(*ref)]
     if model.is_exact:
         # one jump per lag instead of a chain of jumps: equal up to roundoff
@@ -235,7 +237,7 @@ def test_ensemble_contract(fixture, request):
             for j in range(10):
                 assert model.domain.quotient_dist(
                     got[0][m, j:j + 1], ref[0][m, j])[0] < 1e-9
-        np.testing.assert_array_equal(got[2], 1.0)
+        np.testing.assert_array_equal(got[1], 1.0)
     else:
         for x, r in zip(got, ref):
             np.testing.assert_array_equal(x, r)
@@ -314,8 +316,6 @@ def test_evaluate_observable_guards_and_values(exact_model, perturbed_model):
     z = np.array([1j])
     with pytest.raises(ValueError):
         evaluate_observable(perturbed_model, ObservableSpec(c_u_half=1.0), z)
-    with pytest.raises(ValueError):
-        evaluate_observable(exact_model, ObservableSpec(c_cos=1.0), z)
     # the exact model has no shape; the term must not evaluate to zero
     with pytest.raises(ConfigError, match="shape"):
         evaluate_observable(exact_model, ObservableSpec(c_shape=1.0), z)
@@ -334,12 +334,12 @@ def test_evaluate_observable_guards_and_values(exact_model, perturbed_model):
     assert out[0] == pytest.approx(1.0, abs=1e-12)
 
 
-def test_angle_harmonics_identity(exact_model):
-    rng = np.random.default_rng(68)
-    z, th = sample_liouville(exact_model, 40, rng)
-    c = evaluate_observable(exact_model, ObservableSpec(c_cos=1.0), z, th)
-    s = evaluate_observable(exact_model, ObservableSpec(c_sin=1.0), z, th)
-    np.testing.assert_allclose(c * c + s * s, 1.0, atol=1e-12)
+def test_evaluate_observable_takes_the_rate_by_name(exact_model):
+    # observables read (z, u); a stale (z, theta) call fails instead of
+    # reading the angle as the rate
+    z, th = sample_liouville(exact_model, 4, np.random.default_rng(68))
+    with pytest.raises(TypeError):
+        evaluate_observable(exact_model, ObservableSpec(c_u_half=2.0), z, th)
 
 
 def test_sample_liouville_inside_domain(perturbed_model, in_polygon):
@@ -506,7 +506,7 @@ def test_verify_anosov_matches_per_direction_runs(perturbed_model):
     z, th = dual_seeds(model, n, np.random.default_rng(seed), word_length=4)
     rates, extremes, energy_errors = [], [], []
     for direction in (0.0, np.pi):
-        ens = MidpointEnsemble(model, z, theta_h=np.mod(th + direction, 2.0 * np.pi))
+        ens = MidpointEnsemble(model, z, theta=np.mod(th + direction, 2.0 * np.pi))
         ens.burn_in()
         total = ens.advance(t_check, observables=[ObservableSpec(c_u_half=2.0)])[0]
         rates.append(float(np.min(total) / t_check))
