@@ -13,7 +13,7 @@ increasing ladder of windows, and the T -> infinity limit is read off a
 least-squares fit of a + b/T, the leading finite-time correction for Hoelder
 observables.  The spread between the two largest windows is reported as the
 extrapolation error and results are flagged, not rejected, when it exceeds
-the plan tolerance.
+EXTRAPOLATION_TOL.
 
 Averages of the past orbit, as in (1/t) int_0^t f(phi_{-s} x) ds, equal
 forward averages started from the shifted point phi_{-t}(x); ensemble
@@ -36,6 +36,8 @@ from .model import FlowModel, ObservableSpec, PotentialSpec, damping_observable
 from .surface import octagon_area
 
 _U_OBSERVABLE = ObservableSpec(c_u_half=2.0)  # integrand u itself
+# Largest extrapolation error at which BandEdges.converged holds.
+EXTRAPOLATION_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -43,7 +45,8 @@ class SamplingPlan:
     """How to sample orbit ensembles for extremal averages.
 
     The seeding fields are checked when the plan is built, whatever the seed
-    rule; the windows, which depend on the model, by ``validate``.
+    rule; the windows, which depend on the model, by ``validate``.  No plan
+    sets the edges' convergence flag: it reads EXTRAPOLATION_TOL.
     """
 
     n_orbits: int = 10000
@@ -52,7 +55,6 @@ class SamplingPlan:
     word_length: int = WORD_LENGTH
     max_closed: int = MAX_CLOSED
     seed: int = 7
-    extrapolation_tol: float = 1e-3
 
     def __post_init__(self):
         if self.n_orbits < 1:
@@ -185,7 +187,7 @@ def _edges_from_averages(avgs: WindowAverages, k: int,
         horizon=float(avgs.windows[-1]),
         n_orbits=n,
         extrapolation_error=float(err),
-        converged=bool(err <= plan.extrapolation_tol),
+        converged=bool(err <= EXTRAPOLATION_TOL),
         gamma_plus_random=p_rand,
         gamma_plus_words=p_word,
         gamma_minus_random=m_rand,

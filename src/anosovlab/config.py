@@ -26,12 +26,9 @@ SCHEMA: Dict[str, tuple] = {
     # model
     "model": (str, "constant_curvature or conformal_perturbation"),
     "epsilon": (float, "conformal perturbation strength"),
-    "shape_sigma": (float, "width of the bump building the perturbation"),
-    "orbit_depth": (int, "group-orbit truncation depth of the periodised bump"),
     "step": (float, "integrator step h"),
     "riccati_burn": (float, "relaxation time onto the unstable solution"),
     "horizon": (float, "longest allowed integration span"),
-    "invariance_tol": (float, "acceptance bound on the periodisation defect"),
     # damping potential V = c0 + c1 psi + c2 u/2
     "potential_const": (float, "constant part of V"),
     "potential_shape": (float, "psi coefficient of V"),
@@ -42,7 +39,6 @@ SCHEMA: Dict[str, tuple] = {
     "windows": (_parse_float_tuple, "increasing averaging windows"),
     "word_length": (int, "max word length for closed-geodesic seeds"),
     "max_closed": (int, "cap on closed-geodesic seeds"),
-    "extrapolation_tol": (float, "edge convergence flag threshold"),
     "k_band": (int, "largest band index for band-edges"),
     # correlation runs
     "dt": (float, "correlation lag spacing"),
@@ -70,15 +66,9 @@ SCHEMA: Dict[str, tuple] = {
     "ks_samples": (int, "sample count for the volume invariance test"),
 }
 
-MODEL_KEYS = (
-    "model", "epsilon", "shape_sigma", "orbit_depth", "step",
-    "riccati_burn", "horizon", "invariance_tol",
-)
+MODEL_KEYS = ("model", "epsilon", "step", "riccati_burn", "horizon")
 
-PLAN_KEYS = (
-    "n_orbits", "seed_rule", "windows", "word_length", "max_closed",
-    "extrapolation_tol",
-)
+PLAN_KEYS = ("n_orbits", "seed_rule", "windows", "word_length", "max_closed")
 
 
 def parse_config_text(text: str) -> Dict[str, object]:

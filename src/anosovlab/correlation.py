@@ -131,11 +131,11 @@ def correlation_series(model: FlowModel, u: ObservableSpec, v: ObservableSpec,
         # grid point 0 (z and u of the states), then blocks of
         # LAGS_PER_REDUCTION grid points
         edges = [0, *range(1, length, LAGS_PER_REDUCTION), length]
-        for lo, hi in zip(edges, edges[1:]):
-            zs, us = ens.sample(dt, hi - lo) if lo else ens.states()[::2]
-            a[lo:hi] = evaluate_observable(model, u, zs, u=us)
+        for g0, g1 in zip(edges, edges[1:]):
+            zs, us = ens.sample(dt, g1 - g0) if g0 else ens.states()[::2]
+            a[g0:g1] = evaluate_observable(model, u, zs, u=us)
             if b is not a:
-                b[lo:hi] = evaluate_observable(model, v, zs, u=us)
+                b[g0:g1] = evaluate_observable(model, v, zs, u=us)
         for k in range(0, ens.n, group):
             means = _lag_means(a[:, k:k + group], b[:, k:k + group], n_lags)
             if ref is None:

@@ -11,7 +11,7 @@ conformal factor e^{2 psi} with psi = epsilon * shape.  Two kinds exist:
   metric on the integrator's path, which the tests compare to the closed forms.
 
 Construction validates the model rather than trusting it: the truncated
-shape must be group-periodic to ``invariance_tol``, and the Gauss curvature
+shape must be group-periodic to INVARIANCE_TOL, and the Gauss curvature
 e^{-2 psi} (-1 - Delta_hyp psi) must be negative on a polygon-covering grid,
 which also rejects perturbation strengths too large for the flow to stay
 Anosov by this certificate.  Construction also fixes ``weight_sup``, the
@@ -41,13 +41,14 @@ MODEL_KINDS = ("constant_curvature", "conformal_perturbation")
 MODEL_DEFAULTS = {
     "model": "constant_curvature",
     "epsilon": 0.05,
-    "shape_sigma": 0.35,
-    "orbit_depth": 3,
     "step": 1e-3,
     "riccati_burn": 20.0,
     "horizon": 500.0,
-    "invariance_tol": 1e-8,
 }
+
+# Bound on the certified periodisation defect of psi; not a setting, since a
+# certificate whose bound a configuration can loosen certifies nothing.
+INVARIANCE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -73,6 +74,8 @@ class ObservableSpec:
           + c_shape * shape(z)
           + c_u_half * u/2
           + c_bump * exp(-d_M(z, bump_center)^2 / (2 bump_sigma^2))
+
+    A bump needs a finite bump_sigma > 0 and |bump_center| < 1.
     """
 
     c_const: float = 0.0
@@ -81,6 +84,15 @@ class ObservableSpec:
     c_bump: float = 0.0
     bump_center: complex = 0.35 + 0.1j  # disk coordinates
     bump_sigma: float = 0.6
+
+    def __post_init__(self):
+        # written so that NaN fails both checks
+        if not 0.0 < self.bump_sigma < np.inf:
+            raise ConfigError("bump_sigma must be finite and positive, got %r"
+                              % self.bump_sigma)
+        if not abs(self.bump_center) < 1.0:
+            raise ConfigError("bump_center must lie in the open unit disk, "
+                              "got %r" % (self.bump_center,))
 
     @property
     def needs_u(self) -> bool:
@@ -141,7 +153,7 @@ def _weight_sup(shape, epsilon):
     """Safe upper bound for e^{2 psi} on the polygon, for rejection sampling.
 
     Grid maximum plus a margin generous against the grid spacing (the shape
-    varies on the scale of its sigma), capped by the trivial bound that every
+    varies on the scale of SHAPE_SIGMA), capped by the trivial bound that every
     bump is at most 1.  An over-estimate only costs acceptance rate; an
     under-estimate makes ``sample_octagon_positions`` raise.
     """
@@ -151,7 +163,8 @@ def _weight_sup(shape, epsilon):
 
 
 def build_model(config: Optional[Mapping] = None, **overrides) -> FlowModel:
-    """Construct and validate a model from a flat key/value configuration."""
+    """Construct and validate a model from the keys of MODEL_DEFAULTS; any
+    other key, such as a setting of the fixed shape, raises ConfigError."""
     cfg = dict(MODEL_DEFAULTS)
     for src in (config or {}, overrides):
         for key, val in src.items():
@@ -194,19 +207,16 @@ def build_model(config: Optional[Mapping] = None, **overrides) -> FlowModel:
         )
 
     epsilon = float(cfg["epsilon"])
-    shape = PerturbationShape(
-        generators, sigma=float(cfg["shape_sigma"]), depth=int(cfg["orbit_depth"])
-    )
+    shape = PerturbationShape(generators)
     # Total certified defect of psi across side pairings: truncation tail of
     # the orbit sum plus (twice) what the runtime sector lists can drop on
     # the polygon widened by the margin a step may move.
     gap = shape.pruning_gap(octagon_grid(margin=SECTOR_MARGIN))
     defect = (shape.invariance_defect(generators) + 2.0 * gap) * abs(epsilon)
-    tol = float(cfg["invariance_tol"])
-    if defect > tol:
+    if defect > INVARIANCE_TOL:
         raise ModelValidationError(
-            "conformal factor is not group-periodic: defect %.3e exceeds %.3e; "
-            "increase orbit_depth or shrink shape_sigma" % (defect, tol)
+            "conformal factor is not group-periodic: defect %.3e exceeds %.3e"
+            % (defect, INVARIANCE_TOL)
         )
 
     k_scan = blockwise(lambda z: _curvature(shape, epsilon, z), octagon_grid())

@@ -5,11 +5,11 @@ and the shape is a superposition of Gaussian bumps in hyperbolic distance,
 
     shape(z) = sum_j exp(-d(z, c_j)^2 / (2 sigma^2)),
 
-with the centres c_j running over a truncated group orbit of a base point.
-Truncation breaks exact invariance; the defect decays like the bump tail at
-half the minimal distance between discarded orbit points and the polygon, so
-it is measured rather than assumed.  With the defaults (sigma 0.35, orbit
-depth 3) the measured defect is about 1e-9.
+with sigma = SHAPE_SIGMA and the centres c_j running over the orbit of i
+under the reduced words of length at most ORBIT_DEPTH.  Truncation breaks
+exact invariance; the defect decays like the bump tail at half the minimal
+distance between discarded orbit points and the polygon, so it is measured
+rather than assumed (about 1.6e-11).
 
 Radial derivatives of a bump f(d) = exp(-d^2 / (2 sigma^2)):
 
@@ -23,7 +23,8 @@ Runtime evaluation sums each point's bumps over a short list of centres.
 The polygon is split into its 16 symmetry sectors of angle pi/8 in the disk
 picture, and each sector keeps the centres whose bump can exceed the pruning
 tolerance within SECTOR_MARGIN of the sector (the closed-form distance to a
-polar sector is ``sector_dist``).  The margin is the largest step the
+polar sector is ``sector_dist``); every sector keeps 14, so the lists form
+one table with no padding.  The margin is the largest step the
 midpoint integrator accepts, so a list looked up at a step's reduced start
 point serves every fixed-point iterate of that step.  What the lists drop
 is measured, not assumed: ``PerturbationShape.pruning_gap`` compares each
@@ -56,6 +57,10 @@ N_SECTORS = 16
 SECTOR_MARGIN = 0.5
 # Bumps below this value are dropped from the centre lists.
 PRUNE_TOL = 1e-14
+# The one perturbation shape: bumps of this width in hyperbolic distance,
+# centred on the orbit of i under the reduced words up to this length.
+SHAPE_SIGMA = 0.35
+ORBIT_DEPTH = 3
 # Points per call of ``blockwise``: a (points, centres) table of the
 # 457-centre orbit sum then takes 1.9 MB as complex, 0.9 MB as float.
 BLOCK_POINTS = 256
@@ -227,28 +232,24 @@ def sample_octagon_positions(n, rng, weight=None, weight_sup=None):
 class PerturbationShape:
     """Group-periodic bump superposition with value, gradient, and Laplacian.
 
-    Centres are the orbit of a base point under all reduced words up to
-    `depth`, pruned to those whose bump can reach the circumscribed disk of
-    the polygon above PRUNE_TOL (`centers`).  Each point then sums over
-    the list of its symmetry sector only: row k of `sector_table` holds the
-    centres whose bump can exceed PRUNE_TOL within SECTOR_MARGIN of the
-    polar sector k, padded to a common width (`n_centers`) with a centre so
-    far away that its terms are exactly 0.  `pruning_gap` measures what the
-    lists drop.  All evaluation assumes arguments lie within SECTOR_MARGIN
-    of the fundamental polygon; callers reduce first.
+    Centres are the orbit of the base point i under all reduced words up to
+    ORBIT_DEPTH, pruned to those whose bump of width SHAPE_SIGMA can reach
+    the circumscribed disk of the polygon above PRUNE_TOL (`centers`).  Each
+    point then sums over the list of its symmetry sector only: row k of
+    `sector_table` holds the centres whose bump can exceed PRUNE_TOL within
+    SECTOR_MARGIN of the polar sector k.  The base point i is the centre of
+    the octagon's dihedral symmetry, so every list has the same length
+    (`n_centers`).  `pruning_gap` measures what the lists drop.  All
+    evaluation assumes arguments lie within SECTOR_MARGIN of the fundamental
+    polygon; callers reduce first.
     """
 
-    def __init__(self, generators, sigma=0.35, depth=3, base_point=1j):
-        if sigma <= 0:
-            raise ValueError("sigma must be positive")
-        self.sigma = float(sigma)
-        self.depth = int(depth)
-        self.base_point = complex(base_point)
+    def __init__(self, generators):
         words = [np.eye(2)[None]] + [
-            mats for mats, _, _ in _word_levels(generators, self.depth)]
+            mats for mats, _, _ in _word_levels(generators, ORBIT_DEPTH)]
         seen = set()
         centers = []
-        for c in mobius(np.concatenate(words), self.base_point).tolist():
+        for c in mobius(np.concatenate(words), 1j).tolist():
             key = (round(c.real, 10), round(c.imag, 10))
             if key in seen:
                 continue
@@ -257,17 +258,13 @@ class PerturbationShape:
         self.all_centers = np.array(centers)
         # A bump stays below PRUNE_TOL beyond hyperbolic distance `reach`
         # from its centre.
-        reach = self.sigma * np.sqrt(-2.0 * np.log(PRUNE_TOL))
+        reach = SHAPE_SIGMA * np.sqrt(-2.0 * np.log(PRUNE_TOL))
         self.centers = self.all_centers[
             dist_hp(self.all_centers, 1j) - VERTEX_RADIUS <= reach]
         need = (sector_dist(self.centers, np.arange(N_SECTORS)[:, None])
                 - SECTOR_MARGIN <= reach)
-        # The pad lies 40 sigma beyond every point within the margin of the
-        # circumscribed disk, where its bump underflows to exactly 0.
-        pad = 1j * np.exp(VERTEX_RADIUS + SECTOR_MARGIN + 40.0 * self.sigma)
-        self.sector_table = np.full((N_SECTORS, need.sum(axis=1).max()), pad)
-        for row, keep in zip(self.sector_table, need):
-            row[: keep.sum()] = self.centers[keep]
+        # lists of unequal length would make this array ragged, and raise
+        self.sector_table = np.array([self.centers[keep] for keep in need])
 
     @property
     def n_centers(self):
@@ -283,7 +280,7 @@ class PerturbationShape:
         # 0.9 MB on a block of the whole orbit sum
         d = np.arccosh(np.maximum(
             1.0, cosh_dist_hp(np.asarray(z, dtype=complex)[..., None], centers)))
-        return np.exp(-0.5 * (d / self.sigma) ** 2).sum(axis=-1)
+        return np.exp(-0.5 * (d / SHAPE_SIGMA) ** 2).sum(axis=-1)
 
     def value(self, z):
         return self._bumps(z, self.sector_centers(z))
@@ -338,7 +335,7 @@ class PerturbationShape:
             r = np.where(small, 1.0 - dd / 6.0, d / np.where(small, 1.0, sh))
         else:
             r = d / sh
-        s2 = self.sigma * self.sigma
+        s2 = SHAPE_SIGMA * SHAPE_SIGMA
         # same bits as -0.5 * d * d: scaling by a power of two is exact
         g = np.exp(-0.5 * dd / s2)
         # partials of cosh d(z, c) in x and y

@@ -51,6 +51,12 @@ def test_plan_checks_its_seeding_when_built(settings, key):
         SamplingPlan(**settings)
 
 
+def test_plan_has_no_extrapolation_tolerance():
+    # the convergence flag reads the fixed EXTRAPOLATION_TOL
+    with pytest.raises(TypeError):
+        SamplingPlan(extrapolation_tol=1e-2)
+
+
 def test_fit_limit():
     # constant data must come back bit-exact, no fit noise
     assert _fit_limit((50.0, 100.0, 200.0), (-0.5, -0.5, -0.5)) == -0.5

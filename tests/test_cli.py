@@ -324,6 +324,22 @@ class TestExitCodes:
         assert not out.exists()
         assert not os.path.exists(sidecar_path(out))
 
+    @pytest.mark.parametrize("term, field", [
+        ("bump_sigma=0", "bump_sigma"), ("bump_center=2+0j", "bump_center")])
+    def test_correlate_refuses_a_bump_it_cannot_evaluate(self, tmp_path,
+                                                        capsys, term, field):
+        # a zero width divides by zero and a centre off the disk has no
+        # half-plane point: no series may come of either
+        cfg = _cfg(tmp_path, "dt = 0.25\nn_lags = 8\nn_samples = 100\n")
+        out = tmp_path / "s.csv"
+        assert main(["correlate", "--config", cfg, "--u", "bump=1," + term,
+                     "--quiet", "--out", str(out)]) == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "ConfigError"
+        assert field in payload["message"]
+        assert not out.exists()
+        assert not os.path.exists(sidecar_path(out))
+
     @pytest.mark.parametrize("raw", [["--raw-mean"], []])
     def test_shape_observable_on_exact_model(self, tmp_path, capsys, raw):
         cfg = _cfg(tmp_path, "dt = 0.25\nn_lags = 10\nn_samples = 100\n")

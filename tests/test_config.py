@@ -73,6 +73,16 @@ class TestParseConfig:
                            match="line 3: key 'epsilon' repeats line 1"):
             parse_config_text("epsilon = 0.05\nstep = 0.01\nepsilon = 0.2")
 
+    @pytest.mark.parametrize("key", [
+        "shape_sigma", "orbit_depth", "invariance_tol", "extrapolation_tol"])
+    def test_removed_shape_and_tolerance_keys(self, tmp_path, key):
+        # each is a module constant, so a file that sets one is refused,
+        # not ignored
+        path = tmp_path / "run.cfg"
+        path.write_text("model = conformal_perturbation\n%s = 0.35\n" % key)
+        with pytest.raises(ConfigError, match="line 2: unknown key %r" % key):
+            parse_config(path)
+
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text(SAMPLE)

@@ -4,10 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from anosovlab import model as model_module
 from anosovlab.errors import ConfigError, ModelValidationError
 from anosovlab.flow import sample_liouville
 from anosovlab.model import (
-    MODEL_DEFAULTS,
+    INVARIANCE_TOL,
     ObservableSpec,
     PotentialSpec,
     build_model,
@@ -47,7 +48,7 @@ def test_perturbed_model_certificates(perturbed_model):
     m = perturbed_model
     assert not m.is_exact
     assert m.epsilon == 0.05
-    assert 0.0 < m.invariance_defect < MODEL_DEFAULTS["invariance_tol"]
+    assert 0.0 < m.invariance_defect < INVARIANCE_TOL
     k_min, k_max = m.curvature_range
     assert -1.2 < k_min < k_max < -0.1  # pinched negative curvature
     # weighted area recomputed independently from the quadrature
@@ -109,11 +110,18 @@ def test_validation_rejects_strong_perturbations():
         build_model(model="conformal_perturbation", epsilon=0.5)
 
 
-def test_validation_rejects_tight_invariance_tolerance():
-    with pytest.raises(ModelValidationError):
-        build_model(
-            model="conformal_perturbation", epsilon=0.05, invariance_tol=1e-16
-        )
+def test_validation_rejects_tight_invariance_tolerance(monkeypatch):
+    monkeypatch.setattr(model_module, "INVARIANCE_TOL", 1e-16)
+    with pytest.raises(ModelValidationError, match="group-periodic"):
+        build_model(model="conformal_perturbation", epsilon=0.05)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("shape_sigma", 0.3), ("orbit_depth", 4), ("invariance_tol", 1e-6)])
+def test_build_refuses_the_fixed_shape_settings(key, value):
+    # one perturbed family: its shape and certificate bound are constants
+    with pytest.raises(ConfigError, match="unknown model option %r" % key):
+        build_model(model="conformal_perturbation", **{key: value})
 
 
 def test_damping_observable_coefficients(exact_model):
@@ -132,3 +140,15 @@ def test_damping_observable_scales_shape(perturbed_model):
 def test_observable_needs_u():
     assert ObservableSpec(c_u_half=1.0).needs_u
     assert not ObservableSpec(c_bump=1.0).needs_u
+
+
+@pytest.mark.parametrize("field, value", [
+    ("bump_sigma", 0.0), ("bump_sigma", -0.5), ("bump_sigma", float("inf")),
+    ("bump_sigma", float("nan")), ("bump_center", 2.0 + 0j),
+    ("bump_center", 0.6 + 0.8j), ("bump_center", complex("nan+0j")),
+])
+def test_observable_refuses_a_bump_it_cannot_evaluate(field, value):
+    # a zero width divides by zero; a centre off the open disk has no
+    # half-plane point
+    with pytest.raises(ConfigError, match=field):
+        ObservableSpec(c_bump=1.0, **{field: value})

@@ -109,7 +109,7 @@ class TestPerturbationShape:
     @classmethod
     def setup_class(cls):
         cls.gens = bolza_generators()
-        cls.shape = PerturbationShape(cls.gens, sigma=0.35, depth=3)
+        cls.shape = PerturbationShape(cls.gens)
 
     def test_center_counts(self):
         # 457 reduced words at depth 3; pruning keeps the ones that can reach
@@ -170,9 +170,12 @@ class TestPerturbationShape:
         flat_lap = (fxp + fxm + fyp + fym - 4.0 * f0) / (h * h)
         np.testing.assert_allclose(lap, z.imag**2 * flat_lap, atol=1e-4)
 
-    def test_rejects_bad_sigma(self):
-        with pytest.raises(ValueError):
-            PerturbationShape(self.gens, sigma=0.0)
+    @pytest.mark.parametrize("option", [
+        {"sigma": 0.3}, {"depth": 4}, {"base_point": 0.4 + 1.3j}])
+    def test_takes_only_the_generators(self, option):
+        # one shape: its width, depth and base point are module constants
+        with pytest.raises(TypeError):
+            PerturbationShape(self.gens, **option)
 
     @staticmethod
     def _reference_pack(shape, z):
@@ -199,14 +202,11 @@ class TestPerturbationShape:
 
     def test_sector_lists_match_all_pruned_centres(self):
         z = self._check_points()
-        # an off-centre base point gives lists of unequal length, so padded
-        off_centre = PerturbationShape(self.gens, base_point=0.4 + 1.3j)
-        for shape in (self.shape, off_centre):
-            ref = self._reference_pack(shape, z)
-            for a, b in zip(shape.pack(z), ref):
-                np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-13)
-            np.testing.assert_allclose(shape.value(z), ref[0], rtol=0.0, atol=1e-13)
-        assert np.any(off_centre.sector_table.imag > 1e6)  # some rows padded
+        ref = self._reference_pack(self.shape, z)
+        for a, b in zip(self.shape.pack(z), ref):
+            np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(self.shape.value(z), ref[0], rtol=0.0,
+                                   atol=1e-13)
 
     def test_sector_dist_closed_form(self):
         # against the minimum over a dense polar grid of each sector
